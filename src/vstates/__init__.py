@@ -16,14 +16,11 @@ from .continuation import (
     sweep,
 )
 from .contour import (
-    FoldReducedContour,
     InvalidContour,
     SampledContour,
     VortexContourCoeffs,
     boundary_distance,
-    fold_reduce,
     perturbed_annulus,
-    reconstruct,
     sample,
 )
 from .dispersion import (
@@ -67,7 +64,6 @@ __all__ = [
     "DiscreteResidual",
     "DispersionPoint",
     "EmptyBranch",
-    "FoldReducedContour",
     "GeometryBreakdown",
     "Infeasible",
     "InvalidContour",
@@ -88,7 +84,6 @@ __all__ = [
     "eigenvalues_for_fold",
     "fd_jacobian",
     "feasibility",
-    "fold_reduce",
     "frequency_matrix",
     "kernel_integral",
     "kernel_vector",
@@ -97,7 +92,6 @@ __all__ = [
     "minimum_distance",
     "newton_solve",
     "perturbed_annulus",
-    "reconstruct",
     "sample",
     "save_branch",
     "save_state",

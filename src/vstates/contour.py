@@ -30,13 +30,10 @@ __all__ = [
     "InvalidContour",
     "VortexContourCoeffs",
     "SampledContour",
-    "FoldReducedContour",
     "BoundaryTrace",
     "perturbed_annulus",
     "sample",
     "boundary_distance",
-    "fold_reduce",
-    "reconstruct",
 ]
 
 
@@ -147,19 +144,6 @@ class SampledContour:
         return BoundaryTrace(self.z2, self.dz2)
 
 
-@dataclass(frozen=True)
-class FoldReducedContour:
-    """Fundamental-sector slice (N/m leading nodes) of a SampledContour."""
-
-    nodes: int
-    fold: int
-    theta: FloatArray
-    z1: ComplexArray
-    z2: ComplexArray
-    dz1: ComplexArray
-    dz2: ComplexArray
-
-
 @functools.lru_cache(maxsize=16)
 def _basis(nodes: int, fold: int, modes: int) -> tuple[FloatArray, FloatArray, ComplexArray]:
     """Cached sampling matrices for a given grid geometry.
@@ -239,48 +223,6 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     dz2 = unit * (1j * rho2 + drho2)
     return SampledContour(
         nodes=nodes, fold=m, theta=theta, z1=z1, z2=z2, dz1=dz1, dz2=dz2
-    )
-
-
-def fold_reduce(sc: SampledContour) -> FoldReducedContour:
-    """Restrict a sampled contour to its fundamental sector.
-
-    The m-fold symmetry makes the remaining m - 1 sectors exact phase
-    rotations of the returned slice; `reconstruct` inverts the
-    operation.  With fold 1 this is the identity.
-    """
-    m = sc.fold
-    if sc.nodes % m != 0:
-        raise ValueError(f"nodes={sc.nodes} is not a multiple of the fold {m}")
-    ns = sc.nodes // m
-    return FoldReducedContour(
-        nodes=sc.nodes,
-        fold=m,
-        theta=sc.theta[:ns],
-        z1=sc.z1[:ns],
-        z2=sc.z2[:ns],
-        dz1=sc.dz1[:ns],
-        dz2=sc.dz2[:ns],
-    )
-
-
-def reconstruct(reduced: FoldReducedContour) -> SampledContour:
-    """Rebuild the full grid from a fundamental-sector slice."""
-    m = reduced.fold
-    rotations = np.exp(2j * np.pi * np.arange(m) / m)
-
-    def tile(values: ComplexArray) -> ComplexArray:
-        return (rotations[:, None] * values[None, :]).reshape(-1)
-
-    theta = 2.0 * np.pi * np.arange(reduced.nodes) / reduced.nodes
-    return SampledContour(
-        nodes=reduced.nodes,
-        fold=m,
-        theta=theta,
-        z1=tile(reduced.z1),
-        z2=tile(reduced.z2),
-        dz1=tile(reduced.dz1),
-        dz2=tile(reduced.dz2),
     )
 
 

@@ -1,8 +1,20 @@
-"""Vectorized fallback implementation of the boundary kernel sums."""
+"""The quadrature hot loop: trapezoidal boundary-integral sums in numpy.
+
+`kernel_sums` does almost all of the work of every residual evaluation:
+each call forms the full targets x sources table of complex kernel
+terms.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+__all__ = ["kernel_sums", "min_separation", "active_backend"]
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation; there is only the numpy one."""
+    return "python"
 
 
 def kernel_sums(target_z, source_z, source_dz, self_source):

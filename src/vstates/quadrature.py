@@ -22,7 +22,6 @@ on both boundaries j = 1, 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -31,9 +30,7 @@ from . import kernels
 from .contour import BoundaryTrace, ComplexArray, FloatArray, SampledContour
 
 __all__ = [
-    "KernelSum",
     "kernel_integral",
-    "kernel_point",
     "vstate_residual_pointwise",
     "residual_sector",
     "OFF_CURVE_MIN_SEPARATION",
@@ -44,14 +41,6 @@ __all__ = [
 OFF_CURVE_MIN_SEPARATION = 1e-10
 
 Diagonal = Literal["on_curve", "off_curve"]
-
-
-@dataclass(frozen=True)
-class KernelSum:
-    """Value of the boundary integral at a single target point."""
-
-    target: complex
-    value: complex
 
 
 def kernel_integral(
@@ -97,12 +86,6 @@ def kernel_integral(
             )
         return kernels.kernel_sums(targets, source.z, source.dz, False)
     raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
-
-
-def kernel_point(target: complex, source: BoundaryTrace, diagonal: Diagonal) -> KernelSum:
-    """Single-target convenience wrapper around `kernel_integral`."""
-    value = kernel_integral(np.array([target]), source, diagonal)[0]
-    return KernelSum(target=complex(target), value=complex(value))
 
 
 def _induced_terms(sc: SampledContour, count: int) -> tuple[ComplexArray, ComplexArray]:

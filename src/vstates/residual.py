@@ -13,6 +13,9 @@ annulus maps to zero for every (b, omega): the trivial branch.
 By symmetry the projection only needs the residual on the fundamental
 sector, where it reduces to a length-N/m transform; `assemble` keeps a
 full-grid path around as an oracle for that reduction.
+
+`projection_defect` measures what the projection leaves out.  Nothing
+in the solve reads it, so `assemble` does not compute it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 from .contour import FloatArray, VortexContourCoeffs, sample
 from .quadrature import residual_sector, vstate_residual_pointwise
 
-__all__ = ["DiscreteResidual", "assemble"]
+__all__ = ["DiscreteResidual", "assemble", "projection_defect"]
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,12 @@ class DiscreteResidual:
     """Sine-mode coefficients of the pointwise residual on both boundaries.
 
     max_abs is the largest pointwise residual magnitude over the
-    evaluated nodes (the solver's convergence measure) and
-    projection_defect the largest deviation between the sine-series
-    reconstruction and the pointwise values: the constant, cosine and
-    truncated content of the residual.
+    evaluated nodes (the solver's convergence measure).
     """
 
     b1: FloatArray
     b2: FloatArray
     max_abs: float
-    projection_defect: float
 
     def as_vector(self) -> FloatArray:
         return np.concatenate([self.b1, self.b2])
@@ -52,14 +51,6 @@ def _sine_coefficients(values: FloatArray, modes: int) -> FloatArray:
     n = len(values)
     spectrum = np.fft.rfft(values)
     return -2.0 / n * np.imag(spectrum[1 : modes + 1])
-
-
-def _reconstruction_defect(
-    values: FloatArray, coeffs: FloatArray, fold: int, theta: FloatArray
-) -> float:
-    k = np.arange(1, len(coeffs) + 1)
-    rebuilt = np.sin(np.outer(theta, fold * k)) @ coeffs
-    return float(np.max(np.abs(rebuilt - values)))
 
 
 def assemble(
@@ -90,6 +81,36 @@ def assemble(
     InvalidContour
         Propagated from sampling when the shape is degenerate.
     """
+    r1, r2, b1, b2, _ = _project(coeffs, omega, nodes, use_fold_reduction)
+    max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    return DiscreteResidual(b1=b1, b2=b2, max_abs=max_abs)
+
+
+def projection_defect(
+    coeffs: VortexContourCoeffs,
+    omega: float,
+    nodes: int,
+    use_fold_reduction: bool = True,
+) -> float:
+    """Largest deviation of the sine-series reconstruction from the residual.
+
+    Rebuilds the pointwise residual from the coefficients `assemble`
+    returns for the same arguments and compares it with the values on
+    the evaluated nodes: what remains is the constant, cosine and
+    truncated content of the residual, which the projection drops.
+    """
+    r1, r2, b1, b2, theta = _project(coeffs, omega, nodes, use_fold_reduction)
+    k = np.arange(1, coeffs.modes + 1)
+    basis = np.sin(np.outer(theta, coeffs.fold * k))
+    return max(
+        float(np.max(np.abs(basis @ b1 - r1))), float(np.max(np.abs(basis @ b2 - r2)))
+    )
+
+
+def _project(
+    coeffs: VortexContourCoeffs, omega: float, nodes: int, use_fold_reduction: bool
+) -> tuple[FloatArray, FloatArray, FloatArray, FloatArray, FloatArray]:
+    """Pointwise residual (r1, r2), its sine coefficients (b1, b2), node angles."""
     sc = sample(coeffs, nodes)
     m, modes = coeffs.fold, coeffs.modes
     if use_fold_reduction and m > 1:
@@ -108,9 +129,4 @@ def assemble(
         b1 = -2.0 / nodes * np.imag(spectrum1[picks])
         b2 = -2.0 / nodes * np.imag(spectrum2[picks])
         theta = sc.theta
-    max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    defect = max(
-        _reconstruction_defect(r1, b1, m, theta),
-        _reconstruction_defect(r2, b2, m, theta),
-    )
-    return DiscreteResidual(b1=b1, b2=b2, max_abs=max_abs, projection_defect=defect)
+    return r1, r2, b1, b2, theta

@@ -7,9 +7,7 @@ from vstates import (
     InvalidContour,
     VortexContourCoeffs,
     boundary_distance,
-    fold_reduce,
     perturbed_annulus,
-    reconstruct,
     sample,
 )
 
@@ -139,28 +137,6 @@ def test_derivative_matches_finite_differences():
     fine = fd_error(512)
     assert fine < 2e-7
     assert coarse / fine > 14  # 4th order gives 16
-
-
-def test_fold_reduce_roundtrip(rng):
-    for fold in (3, 4, 12):
-        coeffs = random_coeffs(rng, fold=fold, modes=5, scale=0.03)
-        nodes = 40 * fold
-        sc = sample(coeffs, nodes)
-        reduced = fold_reduce(sc)
-        assert reduced.z1.shape == (nodes // fold,)
-        rebuilt = reconstruct(reduced)
-        assert np.abs(rebuilt.z1 - sc.z1).max() < 1e-13
-        assert np.abs(rebuilt.z2 - sc.z2).max() < 1e-13
-        assert np.abs(rebuilt.dz1 - sc.dz1).max() < 1e-13
-        assert np.abs(rebuilt.dz2 - sc.dz2).max() < 1e-13
-
-
-def test_fold_reduce_identity_for_fold_one(rng):
-    coeffs = random_coeffs(rng, fold=1, modes=4, scale=0.03)
-    sc = sample(coeffs, 64)
-    reduced = fold_reduce(sc)
-    assert reduced.z1.shape == (64,)
-    assert np.array_equal(reduced.z1, sc.z1)
 
 
 def test_boundary_distance_annulus():

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from vstates import perturbed_annulus, sample, kernel_integral, vstate_residual_pointwise
 from vstates.contour import BoundaryTrace
-from vstates.quadrature import kernel_point, residual_sector
+from vstates.quadrature import residual_sector
 
 from test_contour import random_coeffs
 
@@ -80,7 +80,7 @@ def test_adaptive_quadrature_oracle():
 
     # off-curve target between the boundaries
     target = 0.75 * np.exp(0.4j)
-    got = kernel_point(target, sc.outer, diagonal="off_curve").value
+    got = kernel_integral(np.array([target]), sc.outer, diagonal="off_curve")[0]
     assert abs(got - adaptive(target)) < 1e-10
 
     # on-curve target at a node; the singularity is removable there
@@ -139,7 +139,9 @@ def test_normal_approach_recovers_on_curve_value():
         deltas = np.array([1e-2, 5e-3, 2.5e-3])
         values = np.array(
             [
-                kernel_point(sc.z1[i] + sign * d * normal, sc.outer, "off_curve").value
+                kernel_integral(
+                    np.array([sc.z1[i] + sign * d * normal]), sc.outer, "off_curve"
+                )[0]
                 for d in deltas
             ]
         )
