@@ -36,7 +36,7 @@ from .dispersion import (
     kernel_vector,
 )
 from .quadrature import kernel_integral, vstate_residual_pointwise
-from .residual import DiscreteResidual, assemble
+from .residual import DiscreteResidual, assemble, jacobian
 from .solver import (
     GeometryBreakdown,
     SingularJacobian,
@@ -85,6 +85,7 @@ __all__ = [
     "fd_jacobian",
     "feasibility",
     "frequency_matrix",
+    "jacobian",
     "kernel_integral",
     "kernel_vector",
     "load_branch",

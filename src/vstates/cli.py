@@ -50,8 +50,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                         help="pointwise residual tolerance (default 1e-12)")
     parser.add_argument("--max-iter", type=int, default=50,
                         help="Newton iteration cap (default 50)")
-    parser.add_argument("--fd-step", type=float, default=1e-9,
-                        help="finite-difference step (default 1e-9)")
 
 
 def _solver_config(args) -> SolverConfig:
@@ -60,7 +58,6 @@ def _solver_config(args) -> SolverConfig:
     return SolverConfig(
         modes=modes,
         nodes=nodes,
-        fd_step=args.fd_step,
         tol=args.tol,
         max_iter=args.max_iter,
     )

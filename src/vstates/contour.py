@@ -41,12 +41,14 @@ class InvalidContour(ValueError):
     """A coefficient set whose curves are not a valid patch boundary."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VortexContourCoeffs:
     """Cosine amplitudes of both boundaries at fold m.
 
     a1 and a2 hold the amplitudes a_{j,k} for k = 1..M; the base radii
     1 and b are implicit.  Arrays are copied and frozen on construction.
+    Two coefficient sets are equal when b, fold, modes and every
+    amplitude agree; they are not hashable.
     """
 
     b: float
@@ -75,6 +77,17 @@ class VortexContourCoeffs:
         a2.setflags(write=False)
         object.__setattr__(self, "a1", a1)
         object.__setattr__(self, "a2", a2)
+
+    def __eq__(self, other):
+        if not isinstance(other, VortexContourCoeffs):
+            return NotImplemented
+        return (
+            self.b == other.b
+            and self.fold == other.fold
+            and self.modes == other.modes
+            and np.array_equal(self.a1, other.a1)
+            and np.array_equal(self.a2, other.a2)
+        )
 
     @classmethod
     def annulus(cls, b: float, fold: int, modes: int) -> "VortexContourCoeffs":
@@ -119,7 +132,7 @@ class BoundaryTrace(NamedTuple):
     dz: ComplexArray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledContour:
     """Both boundaries sampled on the uniform angular grid.
 

@@ -1,11 +1,11 @@
 """Newton iteration on the projected boundary equations.
 
-The Jacobian is approximated by one-sided finite differences column by
-column and refreshed every iteration; each linear step goes through a
-dense LU factorization with partial pivoting.  Convergence is measured
-on the largest pointwise residual over the quadrature nodes, not on the
-projected coefficients, so a converged report certifies the boundary
-equations themselves.
+The Jacobian is the exact linearization of the projected residual
+(`residual.jacobian`), refreshed every iteration; each linear step goes
+through a dense LU factorization with partial pivoting.  Convergence is
+measured on the largest pointwise residual over the quadrature nodes,
+not on the projected coefficients, so a converged report certifies the
+boundary equations themselves.
 
 Cold starts: a seed that is the annulus displaced in its first mode
 only (what `perturbed_annulus` builds) does not fix a starting
@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .contour import InvalidContour, VortexContourCoeffs, perturbed_annulus
 from .dispersion import eigenvalues_for_fold, kernel_vector
-from .residual import assemble
+from .residual import assemble, jacobian
 
 __all__ = [
     "SolverConfig",
@@ -99,7 +99,6 @@ class SolverConfig:
 
     modes: int
     nodes: int
-    fd_step: float = 1e-9
     tol: float = 1e-12
     max_iter: int = 50
 
@@ -108,8 +107,6 @@ class SolverConfig:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be positive, got {self.nodes}")
-        if not self.fd_step > 0.0:
-            raise ValueError(f"fd_step must be positive, got {self.fd_step}")
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
@@ -140,23 +137,23 @@ def default_modes(fold: int, nodes: int) -> int:
 
 
 def fd_jacobian(
-    coeffs: VortexContourCoeffs, omega: float, config: SolverConfig
+    coeffs: VortexContourCoeffs, omega: float, config: SolverConfig, step: float = 1e-9
 ) -> np.ndarray:
     """One-sided finite-difference Jacobian of the projected residual.
 
-    Column j holds (F(x + h e_j) - F(x)) / h in the flattened ordering
-    (a1_1..a1_M, a2_1..a2_M); the Newton update solves J delta = F(x).
+    Column j holds (F(x + h e_j) - F(x)) / h with h = step in the
+    flattened ordering (a1_1..a1_M, a2_1..a2_M).  The solver uses the
+    exact `residual.jacobian`; this is its independent oracle.
     """
-    h = config.fd_step
     x0 = coeffs.as_vector()
     base = assemble(coeffs, omega, config.nodes).as_vector()
     size = 2 * coeffs.modes
     jac = np.empty((size, size))
     for j in range(size):
         x = x0.copy()
-        x[j] += h
+        x[j] += step
         bumped = VortexContourCoeffs.from_vector(x, coeffs.b, coeffs.fold, coeffs.modes)
-        jac[:, j] = (assemble(bumped, omega, config.nodes).as_vector() - base) / h
+        jac[:, j] = (assemble(bumped, omega, config.nodes).as_vector() - base) / step
     return jac
 
 
@@ -194,7 +191,8 @@ def _branch_curvature(
     extra unknown.  Two modes suffice: the second-mode response enters
     the first-mode equation at third order, the third mode only at
     fifth.  The residual is affine in omega, so its omega column is a
-    plain difference.
+    plain difference; the other columns are sliced from the exact
+    Jacobian.
     """
     modes = config.modes
     keep = min(2, modes)
@@ -204,21 +202,19 @@ def _branch_curvature(
     x[[0, modes]] = amplitude * direction
     omega = omega0
 
-    def residual(x: np.ndarray, omega: float) -> np.ndarray:
-        shape = VortexContourCoeffs.from_vector(x, b, m, modes)
+    def residual(shape: VortexContourCoeffs, omega: float) -> np.ndarray:
         return assemble(shape, omega, config.nodes).as_vector()[unknowns]
 
     size = len(unknowns) + 1
     for _ in range(10):
-        base = residual(x, omega)
+        shape = VortexContourCoeffs.from_vector(x, b, m, modes)
+        base = residual(shape, omega)
         if np.abs(base).max() < config.tol * amplitude:
             break
         bordered = np.zeros((size, size))
-        for j, k in enumerate(unknowns):
-            bumped = x.copy()
-            bumped[k] += config.fd_step
-            bordered[:-1, j] = (residual(bumped, omega) - base) / config.fd_step
-        bordered[:-1, -1] = residual(x, omega + 1.0) - base
+        full = jacobian(shape, omega, config.nodes)
+        bordered[:-1, :-1] = full[np.ix_(unknowns, unknowns)]
+        bordered[:-1, -1] = residual(shape, omega + 1.0) - base
         bordered[-1, [0, keep]] = direction
         rhs = np.append(base, direction @ x[[0, modes]] - amplitude)
         step = _lu_solve_checked(bordered, rhs)
@@ -317,7 +313,7 @@ def newton_solve(
                     trivial=False,
                     residual_history=history,
                 )
-            jac = fd_jacobian(current, omega, config)
+            jac = jacobian(current, omega, config.nodes)
             step = _lu_solve_checked(jac, residual.as_vector())
             x = current.as_vector() - step
             iterations += 1

@@ -6,9 +6,8 @@ threshold:
 
 * ``annulus``     -- quadrature against the closed-form induced terms of
                      the exact annulus.
-* ``jacobian``    -- rank loss of the finite-difference Jacobian at the
-                     predicted bifurcation eigenvalues, full rank between
-                     them.
+* ``jacobian``    -- rank loss of the Newton Jacobian at the predicted
+                     bifurcation eigenvalues, full rank between them.
 * ``convergence`` -- grid-doubling agreement of the pointwise residual.
 """
 
@@ -22,7 +21,7 @@ import scipy.linalg
 from .contour import VortexContourCoeffs, perturbed_annulus, sample
 from .dispersion import eigenvalues_for_fold
 from .quadrature import kernel_integral, vstate_residual_pointwise
-from .solver import SolverConfig, fd_jacobian
+from .residual import jacobian
 
 __all__ = ["CheckResult", "SUITES", "run_suite"]
 
@@ -76,11 +75,10 @@ def _suite_jacobian(b: float, m: int, nodes: int) -> list[CheckResult]:
                 0.0,
             )
         ]
-    config = SolverConfig(modes=15, nodes=nodes)
-    annulus = VortexContourCoeffs.annulus(b, m, config.modes)
+    annulus = VortexContourCoeffs.annulus(b, m, 15)
 
     def smallest_sv(omega: float) -> float:
-        return float(scipy.linalg.svdvals(fd_jacobian(annulus, omega, config))[-1])
+        return float(scipy.linalg.svdvals(jacobian(annulus, omega, nodes))[-1])
 
     midpoint = 0.5 * (point.omega_minus + point.omega_plus)
     return [

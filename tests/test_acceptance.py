@@ -1,15 +1,12 @@
 """End-to-end acceptance checks, one test per shipped guarantee.
 
-Each test states its tolerance inline.  The full-resolution branch
-replication is expensive and only runs with VSTATES_SLOW=1; the coarse
-variant covers the same checks at CI speed.
+Each test states its tolerance inline.  Branch replication runs twice:
+the coarse sweep (35 states) and the full-resolution one (333 states).
 """
 
 import math
-import os
 
 import numpy as np
-import pytest
 
 from vstates import (
     SolverConfig,
@@ -150,10 +147,6 @@ def test_criterion_7_branch_replication_coarse():
     _check_branch_distances(branch)
 
 
-@pytest.mark.skipif(
-    os.environ.get("VSTATES_SLOW") != "1",
-    reason="full-resolution sweep takes minutes; set VSTATES_SLOW=1",
-)
 def test_criterion_7_branch_replication_full():
     config = SolverConfig(modes=31, nodes=512)
     branch = sweep(0.63, 4, 0.1342, 0.1674, 1e-4, config)

@@ -61,6 +61,18 @@ def test_coefficients_frozen(rng):
         coeffs.a1[0] = 1.0
 
 
+def test_coefficients_compare_by_value():
+    shape = perturbed_annulus(0.6, 4, 3, a1_1=0.01)
+    assert shape == perturbed_annulus(0.6, 4, 3, a1_1=0.01)
+    assert shape != perturbed_annulus(0.6, 4, 3, a1_1=0.02)
+    assert shape != perturbed_annulus(0.6, 4, 3, a2_1=0.01)
+    assert shape != perturbed_annulus(0.5, 4, 3, a1_1=0.01)
+    assert shape != perturbed_annulus(0.6, 3, 3, a1_1=0.01)
+    assert shape != perturbed_annulus(0.6, 4, 4, a1_1=0.01)
+    sc = sample(shape, 48)
+    assert sc == sc and sc != sample(shape, 48)
+
+
 def test_coefficient_validation():
     ok = np.zeros(2)
     with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
-"""Projection of the pointwise residual onto the sine basis."""
+"""Projection of the pointwise residual onto the sine basis, and its Jacobian."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import vstates.solver
 
 from vstates import (
     InvalidContour,
@@ -9,7 +13,10 @@ from vstates import (
     assemble,
     eigenvalues_for_fold,
     fd_jacobian,
+    jacobian,
     kernel_vector,
+    load_state,
+    newton_solve,
     perturbed_annulus,
     sample,
     vstate_residual_pointwise,
@@ -127,6 +134,44 @@ def test_jacobian_blocks_singular_exactly_at_eigenvalues():
     assert smallest_singular(point.omega_plus) < 1e-4
     midway = 0.5 * (point.omega_minus + point.omega_plus)
     assert smallest_singular(midway) > 1e-2
+
+
+def _assert_matches_fd(coeffs, omega, nodes):
+    exact = jacobian(coeffs, omega, nodes)
+    approx = fd_jacobian(coeffs, omega, SolverConfig(modes=coeffs.modes, nodes=nodes))
+    scale = np.abs(exact).max()
+    assert np.abs(exact - approx).max() < 1e-6 * scale
+
+
+def test_exact_jacobian_matches_finite_differences_full_grid(rng):
+    # fold 1: the targets are all N nodes, as in the full-grid projection
+    _assert_matches_fd(random_coeffs(rng, b=0.5, fold=1, modes=6, scale=0.05), 0.2, 64)
+
+
+def test_exact_jacobian_matches_finite_differences_at_branch_end():
+    seed = Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
+    state = load_state(seed)
+    assert (state.m, state.nodes, state.modes) == (4, 512, 63)
+    _assert_matches_fd(state.coefficients(), state.omega, state.nodes)
+
+
+def test_exact_jacobian_matches_finite_differences_fold_12():
+    config = SolverConfig(modes=31, nodes=768, max_iter=12)
+    seed = perturbed_annulus(0.85, 12, 31, a1_1=0.06)
+    report = newton_solve(0.85, 0.04852, 12, seed, config)
+    assert report.converged and not report.trivial
+    _assert_matches_fd(report.coeffs, 0.04852, 768)
+
+
+def test_newton_uses_the_exact_jacobian(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("newton_solve must not build a finite-difference Jacobian")
+
+    monkeypatch.setattr(vstates.solver, "fd_jacobian", refuse)
+    config = SolverConfig(modes=31, nodes=256)
+    seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
+    report = newton_solve(0.63, 0.152, 4, seed, config)
+    assert report.converged and not report.trivial and report.iterations > 0
 
 
 def test_kernel_direction_is_annihilated():
