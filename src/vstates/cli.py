@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .continuation import EmptyBranch, sweep
+from .continuation import EmptyBranch, minimum_distance, sweep
 from .contour import VortexContourCoeffs, boundary_distance, perturbed_annulus, sample
 from .dispersion import critical_radius, eigenvalues_for_fold, feasibility
 from .render import save_svg
@@ -151,10 +150,8 @@ def _cmd_sweep(args, parser) -> int:
           f"toward {args.omega_end:g} (origin {branch.origin})")
     if branch.terminated_at is not None:
         print(f"branch terminated at omega = {branch.terminated_at:.17g}")
-    distances = [record.distance for record in branch.records]
-    closest = int(np.argmin(distances))
-    print(f"minimum boundary distance {distances[closest]:.6f} "
-          f"at omega = {branch.records[closest].omega:.17g}")
+    omega_at_min, smallest = minimum_distance(branch)
+    print(f"minimum boundary distance {smallest:.6f} at omega = {omega_at_min:.17g}")
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -162,7 +159,7 @@ def _cmd_sweep(args, parser) -> int:
 def _cmd_render(args) -> int:
     try:
         states = [load_state(path) for path in args.states]
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot read state file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     save_svg(args.out, states, samples=args.samples)
@@ -249,7 +246,7 @@ def main(argv=None) -> int:
         args.nodes = 512 if args.suite == "jacobian" else 256
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"vstates: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -136,13 +136,11 @@ class BoundaryTrace(NamedTuple):
 class SampledContour:
     """Both boundaries sampled on the uniform angular grid.
 
-    theta[i] = 2 pi i / N, z_j[i] = exp(i theta) rho_j(theta[i]) and
+    z_j[i] = exp(i theta_i) rho_j(theta_i) with theta_i = 2 pi i / N, and
     dz_j[i] the analytic derivative d z_j / d theta at the node.
     """
 
     nodes: int
-    fold: int
-    theta: FloatArray
     z1: ComplexArray
     z2: ComplexArray
     dz1: ComplexArray
@@ -234,74 +232,14 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     z2 = unit * rho2
     dz1 = unit * (1j * rho1 + drho1)
     dz2 = unit * (1j * rho2 + drho2)
-    return SampledContour(
-        nodes=nodes, fold=m, theta=theta, z1=z1, z2=z2, dz1=dz1, dz2=dz2
-    )
+    return SampledContour(nodes=nodes, z1=z1, z2=z2, dz1=dz1, dz2=dz2)
 
 
-def _trig_interpolant(values: ComplexArray):
-    """Exact band-limited interpolant through equispaced samples.
-
-    Valid because sampling is alias-free by construction; evaluation
-    costs O(N) per point.
-    """
-    n = len(values)
-    coef = np.fft.fft(values) / n
-    freq = np.fft.fftfreq(n, d=1.0 / n)
-
-    def evaluate(alpha: float) -> complex:
-        return complex(np.sum(coef * np.exp(1j * freq * alpha)))
-
-    return evaluate
-
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, iterations: int = 40) -> float:
-    """Golden-section minimizer; returns the interval midpoint at exit."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(iterations):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
-def boundary_distance(sc: SampledContour, refine: bool = False) -> float:
+def boundary_distance(sc: SampledContour) -> float:
     """Minimum distance between the outer and inner boundary.
 
-    The default is the discrete minimum over all N x N node pairs.  With
-    ``refine=True`` the discrete argmin is polished by golden-section
-    coordinate descent on the band-limited interpolants of the two
-    curves, which removes the O(grid spacing squared) bias of the node
-    minimum.
+    The discrete minimum over all N x N node pairs; it overestimates the
+    distance between the curves by O(grid spacing squared) when the
+    closest approach falls between nodes.
     """
-    diff = np.abs(sc.z1[:, None] - sc.z2[None, :])
-    flat = int(np.argmin(diff))
-    i, j = divmod(flat, sc.nodes)
-    best = float(diff[i, j])
-    if not refine:
-        return best
-
-    z1_at = _trig_interpolant(sc.z1)
-    z2_at = _trig_interpolant(sc.z2)
-    spacing = 2.0 * np.pi / sc.nodes
-    alpha = sc.theta[i]
-    beta = sc.theta[j]
-    for _ in range(3):
-        alpha = _golden_min(
-            lambda a: abs(z1_at(a) - z2_at(beta)), alpha - spacing, alpha + spacing
-        )
-        beta = _golden_min(
-            lambda c: abs(z1_at(alpha) - z2_at(c)), beta - spacing, beta + spacing
-        )
-    refined = abs(z1_at(alpha) - z2_at(beta))
-    return float(min(best, refined))
+    return float(np.min(np.abs(sc.z1[:, None] - sc.z2[None, :])))

@@ -37,7 +37,9 @@ def kernel_sums(target_z, source_z, source_dz, self_source):
     if self_source:
         idx = np.arange(len(target_z))
         diff[idx, idx] = 1.0  # placeholder; the term is overwritten below
-    terms = (numer / diff) * source_dz[None, :]
+    # in place, so diff and numer are the only (targets x sources) tables
+    terms = np.divide(numer, diff, out=numer)
+    terms *= source_dz[None, :]
     if self_source:
         terms[idx, idx] = np.conj(source_dz[idx])
     return terms.sum(axis=1) / (1j * len(source_z))

@@ -33,6 +33,12 @@ __all__ = [
 STATE_FORMAT = "vstate"
 BRANCH_FORMAT = "vstate-branch"
 SCHEMA_VERSION = 1
+# Fields a reader needs beyond the format and schema_version
+_STATE_FIELDS = (
+    "b", "m", "omega", "modes", "nodes", "a1", "a2",
+    "residual_max", "iterations", "converged",
+)
+_BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
 
 
 def _fmt(x: float) -> str:
@@ -40,6 +46,13 @@ def _fmt(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     return format(x, ".17g")
+
+
+def _require(fields: dict, keys: tuple[str, ...], path: str | Path) -> None:
+    """Raise ValueError naming the file and the first of `keys` it lacks."""
+    for key in keys:
+        if key not in fields:
+            raise ValueError(f"{path}: missing field {key!r}")
 
 
 def _timestamp() -> str:
@@ -114,14 +127,15 @@ def save_state(path: str | Path, state: StateFile, timestamp: bool = True) -> No
 
 def load_state(path: str | Path) -> StateFile:
     raw = json.loads(Path(path).read_text())
-    if raw.get("format") != STATE_FORMAT:
+    if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
         raise ValueError(f"{path}: not a {STATE_FORMAT} document")
     version = raw.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
+    _require(raw, _STATE_FIELDS, path)
     a1 = np.array(raw["a1"], dtype=np.float64)
     a2 = np.array(raw["a2"], dtype=np.float64)
-    if len(a1) != raw["modes"] or len(a2) != raw["modes"]:
+    if a1.shape != (raw["modes"],) or a2.shape != (raw["modes"],):
         raise ValueError(f"{path}: coefficient arrays do not match modes")
     return StateFile(
         schema_version=version,
@@ -263,6 +277,7 @@ def load_branch(path: str | Path) -> BranchFile:
     version = int(header.get("schema_version", "-1"))
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
+    _require(header, _BRANCH_FIELDS, path)
     return BranchFile(
         schema_version=version,
         b=float(header["b"]),

@@ -29,6 +29,8 @@ from vstates import (
 )
 from vstates.solver import normalize_signs
 
+from oracles import full_grid_assemble
+
 
 def test_criterion_1_eigenvalue_table():
     # reference values are digit prefixes, not roundings: the pair at
@@ -212,7 +214,7 @@ def test_criterion_9_property_suite(reference_state, tmp_path):
     assert loaded.omega == state.omega and loaded.b == state.b
 
     # independent residual assembly re-verifies the converged state
-    recheck = assemble(coeffs, 0.1520, nodes, use_fold_reduction=False)
+    recheck = full_grid_assemble(coeffs, 0.1520, nodes)
     assert recheck.max_abs < 1e-12
 
     # sign normalization is idempotent and fixes converged output

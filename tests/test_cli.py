@@ -172,6 +172,19 @@ def test_solve_seed_file_conflicts(tmp_path, capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
+def test_solve_seed_file_unreadable(tmp_path, capsys):
+    fieldless = tmp_path / "fieldless.json"
+    fieldless.write_text('{"format": "vstate", "schema_version": 1}\n')
+    for seed in (tmp_path / "missing.json", fieldless):
+        code, _, err = run(
+            capsys,
+            "solve", "--b", "0.5", "--m", "4", "--omega", "0.2",
+            "--seed-file", str(seed), "--nodes", "128",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("vstates: error:") and str(seed) in err
+
+
 def test_sweep_writes_branch(tmp_path, capsys):
     out_path = tmp_path / "branch.csv"
     code, out, _ = run(

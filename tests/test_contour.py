@@ -154,23 +154,9 @@ def test_derivative_matches_finite_differences():
 def test_boundary_distance_annulus():
     sc = sample(perturbed_annulus(0.63, 1, 1), 128)
     assert abs(boundary_distance(sc) - 0.37) < 1e-13
-    assert abs(boundary_distance(sc, refine=True) - 0.37) < 1e-12
 
 
 def test_boundary_distance_single_bump():
     # inner boundary bulges outward at theta = 0, where both grids have a node
     sc = sample(perturbed_annulus(0.6, 4, 1, a2_1=0.05), 128)
     assert abs(boundary_distance(sc) - (1 - 0.6 - 0.05)) < 1e-14
-    refined = boundary_distance(sc, refine=True)
-    assert refined <= boundary_distance(sc) + 1e-15
-    assert abs(refined - 0.35) < 1e-10
-
-
-def test_refined_distance_off_grid():
-    """Refinement must not depend on the minimum sitting on a node."""
-    coeffs = perturbed_annulus(0.6, 3, 2)
-    a1 = np.array([0.0, 0.03])
-    sc = sample(coeffs.replace_coefficients(a1, coeffs.a2), 96)
-    coarse = sample(coeffs.replace_coefficients(a1, coeffs.a2), 48)
-    fine = boundary_distance(sc, refine=True)
-    assert abs(boundary_distance(coarse, refine=True) - fine) < 1e-8

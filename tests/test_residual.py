@@ -21,8 +21,7 @@ from vstates import (
     sample,
     vstate_residual_pointwise,
 )
-from vstates.residual import projection_defect
-
+from oracles import full_grid_assemble, projection_defect
 from test_contour import random_coeffs
 
 
@@ -36,17 +35,14 @@ def test_annulus_projects_to_zero(rng):
 
 
 def test_fold_reduced_path_matches_full_transform(rng):
-    for fold in (3, 4):
+    for fold in (1, 3, 4):
         coeffs = random_coeffs(rng, fold=fold, modes=6, scale=0.05)
         nodes = 48 * fold
-        fast = assemble(coeffs, 0.21, nodes, use_fold_reduction=True)
-        slow = assemble(coeffs, 0.21, nodes, use_fold_reduction=False)
+        fast = assemble(coeffs, 0.21, nodes)
+        slow = full_grid_assemble(coeffs, 0.21, nodes)
         assert np.abs(fast.b1 - slow.b1).max() < 1e-13
         assert np.abs(fast.b2 - slow.b2).max() < 1e-13
         assert abs(fast.max_abs - slow.max_abs) < 1e-13
-        fast_defect = projection_defect(coeffs, 0.21, nodes, use_fold_reduction=True)
-        slow_defect = projection_defect(coeffs, 0.21, nodes, use_fold_reduction=False)
-        assert abs(fast_defect - slow_defect) < 1e-12
 
 
 def test_reconstruction_consistency(rng):

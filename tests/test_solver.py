@@ -19,6 +19,7 @@ from vstates import (
 from vstates.solver import _cold_start, _lu_solve_checked, normalize_signs
 
 from conftest import REFERENCE_B, REFERENCE_CONFIG, REFERENCE_M, REFERENCE_OMEGA
+from oracles import full_grid_assemble
 
 
 def test_config_validation():
@@ -69,11 +70,8 @@ def test_reference_solve_properties(reference_state):
 
 def test_residual_certificate(reference_state):
     """Re-assembling through the full-length transform confirms the report."""
-    check = assemble(
-        reference_state.coeffs,
-        REFERENCE_OMEGA,
-        REFERENCE_CONFIG.nodes,
-        use_fold_reduction=False,
+    check = full_grid_assemble(
+        reference_state.coeffs, REFERENCE_OMEGA, REFERENCE_CONFIG.nodes
     )
     assert check.max_abs < REFERENCE_CONFIG.tol
     assert abs(check.max_abs - reference_state.residual_max) < 1e-14

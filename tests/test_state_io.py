@@ -79,6 +79,16 @@ def test_state_file_validation(tmp_path, reference_state):
     with pytest.raises(ValueError):
         load_state(bad)
 
+    fieldless = {key: value for key, value in doc.items() if key != "a1"}
+    bad.write_text(json.dumps(fieldless))
+    with pytest.raises(ValueError, match="missing field 'a1'"):
+        load_state(bad)
+
+    for malformed in ([doc], dict(doc, a1=None)):
+        bad.write_text(json.dumps(malformed))
+        with pytest.raises(ValueError):
+            load_state(bad)
+
 
 def test_nonfinite_values_refused(tmp_path, reference_state):
     state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
@@ -138,4 +148,10 @@ def test_branch_rejects_malformed_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# format: vstate-branch\nomega,distance\n0.1,0.3\n")
     with pytest.raises(ValueError):
+        load_branch(path)
+    path.write_text(
+        "# format: vstate-branch\n# schema_version: 1\n# m: 4\n"
+        "omega,distance,iterations,a1_1,a2_1,converged\n"
+    )
+    with pytest.raises(ValueError, match="missing field 'b'"):
         load_branch(path)
