@@ -1,10 +1,13 @@
 """Branch continuation in the angular velocity.
 
 A branch of fold-m states is traced by marching omega over a uniform
-grid and warm-starting every Newton solve from the previous converged
-coefficients.  The first grid point has no predecessor, so it is
-attempted from a ladder of single-mode annulus perturbations; which
-mode the ladder displaces follows the sweep direction, matching the
+grid.  Every warm solve starts from the secant predictor, the linear
+extrapolation of the last two converged states to the new omega (the
+previous state alone after the first grid point), and runs chord Newton
+(see `solver`): the LU factors of the last Jacobian carry over from one
+warm solve to the next.  The first grid point has no predecessor, so
+it is attempted from a ladder of single-mode annulus perturbations;
+which mode the ladder displaces follows the sweep direction, matching the
 null-direction structure at the two eigenvalues (outer-dominant near
 omega_plus, inner-dominant near omega_minus).  `newton_solve` treats
 these first-mode seeds as cold starts and replaces them by the
@@ -12,13 +15,17 @@ bifurcation predictor wherever a branch reaches the grid point; there
 only the sign of a ladder seed matters.
 
 Branch ends show up as solves that stop converging, collapse to the
-annulus, or break the geometry.  A failed grid point is retried through
-a midpoint bridge solve, and, while the branch is still within ladder
-reach of the annulus, from the cold-start ladder (near a bifurcation
-point the branch amplitude grows like the square root of the omega
-offset, so a coarse first step can outrun the warm seed and fall back
-onto the annulus).  An unrecoverable grid point is recorded in
-``terminated_at`` and the sweep stops.
+annulus, or break the geometry; a predicted seed that is not a valid
+contour counts as such a failure.  A failed attempt drops the carried
+factors, so the next one forms a fresh Jacobian.  A failed grid point
+is retried through a midpoint bridge solve, and, while the branch is
+still within ladder reach of the annulus, from the cold-start ladder
+(near a bifurcation point the branch amplitude grows like the square
+root of the omega offset, so a coarse first step can outrun the warm
+seed and fall back onto the annulus).  The bridge seeds from the
+secant too, and the grid point after it from the secant through the
+previous state and the bridge state.  An unrecoverable grid point is
+recorded in ``terminated_at`` and the sweep stops.
 """
 
 from __future__ import annotations
@@ -28,8 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import VortexContourCoeffs, boundary_distance, perturbed_annulus, sample
+from .contour import (
+    InvalidContour,
+    VortexContourCoeffs,
+    boundary_distance,
+    perturbed_annulus,
+    sample,
+)
 from .solver import (
+    ChordFactors,
     GeometryBreakdown,
     SingularJacobian,
     SolveReport,
@@ -50,11 +64,14 @@ __all__ = [
 # First-mode amplitudes tried at the first grid point, in order.
 LADDER_AMPLITUDES = (0.02, 0.04, 0.06)
 
-# Newton steps allowed from a warm seed.  While the branch goes on, the
-# previous state one grid step away converges in 3-8 steps (m = 4 sweeps
-# at b = 0.6 and 0.63); a solve that needs far more has wandered off the
-# branch, and where it lands (after 34-50 steps near a branch end) can
-# be a state of another family that the sweep would then follow.
+# Newton steps allowed from a warm seed, chord steps included.  While
+# the branch goes on, a warm solve reaches tol in 2-10 steps, and in
+# more than 7 for 7 of the 453 warm states of the four acceptance sweeps
+# (m = 4 at b = 0.6 and 0.63, CHORD_CONTRACTION = 10; full Newton from
+# the previous state took 2-9).  A solve that needs far more has
+# wandered off the branch, and where it lands (after 34-50 full Newton
+# steps near a branch end) can be a state of another family that the
+# sweep would then follow.
 WARM_MAX_ITER = 12
 
 
@@ -125,19 +142,40 @@ def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
     return grid
 
 
+def _secant(
+    known: Sequence[tuple[float, VortexContourCoeffs]], omega: float
+) -> VortexContourCoeffs:
+    """Warm seed at omega, extrapolated linearly through the last two
+    (omega, state) pairs; the last state itself when it is the only one."""
+    omega1, last = known[-1]
+    if len(known) < 2:
+        return last
+    omega0, before = known[-2]
+    x1 = last.as_vector()
+    x = x1 + (omega - omega1) / (omega1 - omega0) * (x1 - before.as_vector())
+    return VortexContourCoeffs.from_vector(x, last.b, last.fold, last.modes)
+
+
 def _attempt(
     b: float,
     m: int,
     omega: float,
     seed: VortexContourCoeffs,
     config: SolverConfig,
+    chord: ChordFactors | None = None,
 ) -> SolveReport | None:
-    """One guarded solve; None for any outcome that is not a usable state."""
+    """One guarded solve; None for any outcome that is not a usable state.
+
+    A failed attempt drops the chord factors, so the next one starts
+    from a fresh Jacobian.
+    """
     try:
-        report = newton_solve(b, omega, m, seed, config)
-    except (GeometryBreakdown, SingularJacobian):
-        return None
-    if not report.converged or report.trivial:
+        report = newton_solve(b, omega, m, seed, config, chord)
+    except (GeometryBreakdown, SingularJacobian, InvalidContour):
+        report = None
+    if report is None or not report.converged or report.trivial:
+        if chord is not None:
+            chord.lu = None
         return None
     return report
 
@@ -197,15 +235,18 @@ def sweep(
     records = [_record(grid[0], first, config)]
     terminated_at = None
     warm = replace(config, max_iter=min(config.max_iter, WARM_MAX_ITER))
+    chord = ChordFactors()
     for omega in grid[1:]:
         previous = records[-1]
-        report = _attempt(b, m, omega, previous.report.coeffs, warm)
+        known = [(record.omega, record.report.coeffs) for record in records[-2:]]
+        report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
         if report is None:
             # Bridge through the midpoint once before terminating.
             midpoint = 0.5 * (previous.omega + omega)
-            bridge = _attempt(b, m, midpoint, previous.report.coeffs, warm)
+            bridge = _attempt(b, m, midpoint, _secant(known, midpoint), warm, chord)
             if bridge is not None:
-                report = _attempt(b, m, omega, bridge.coeffs, warm)
+                known = [known[-1], (midpoint, bridge.coeffs)]
+                report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
         if report is None and _near_annulus(previous.report.coeffs):
             # Warm seed collapsed onto the annulus; the cold ladder
             # still works near the bifurcation points, where branch

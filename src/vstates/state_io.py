@@ -10,6 +10,7 @@ identical runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,6 +54,41 @@ def _require(fields: dict, keys: tuple[str, ...], path: str | Path) -> None:
     for key in keys:
         if key not in fields:
             raise ValueError(f"{path}: missing field {key!r}")
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite double: not null, a string, a
+    boolean, NaN, an infinity or an integer beyond the double range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _typed(raw: dict, key: str, kind: type, path: str | Path):
+    """raw[key] as a finite float, an int or a bool; ValueError naming
+    the file and the field when it is anything else."""
+    value = raw[key]
+    if kind is bool:
+        valid = isinstance(value, bool)
+    elif kind is int:
+        valid = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        valid = _is_number(value)
+    if not valid:
+        raise ValueError(f"{path}: field {key!r} is not a valid {kind.__name__}: {value!r}")
+    return kind(value)
+
+
+def _coefficients(raw: dict, key: str, modes: int, path: str | Path) -> FloatArray:
+    values = raw[key]
+    if not isinstance(values, list) or len(values) != modes:
+        raise ValueError(f"{path}: field {key!r} is not a list of {modes} coefficients")
+    if not all(_is_number(value) for value in values):
+        raise ValueError(f"{path}: field {key!r} holds an entry that is not a finite number")
+    return np.array(values, dtype=np.float64)
 
 
 def _timestamp() -> str:
@@ -133,22 +169,19 @@ def load_state(path: str | Path) -> StateFile:
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
     _require(raw, _STATE_FIELDS, path)
-    a1 = np.array(raw["a1"], dtype=np.float64)
-    a2 = np.array(raw["a2"], dtype=np.float64)
-    if a1.shape != (raw["modes"],) or a2.shape != (raw["modes"],):
-        raise ValueError(f"{path}: coefficient arrays do not match modes")
+    modes = _typed(raw, "modes", int, path)
     return StateFile(
         schema_version=version,
-        b=float(raw["b"]),
-        m=int(raw["m"]),
-        omega=float(raw["omega"]),
-        modes=int(raw["modes"]),
-        nodes=int(raw["nodes"]),
-        a1=a1,
-        a2=a2,
-        residual_max=float(raw["residual_max"]),
-        iterations=int(raw["iterations"]),
-        converged=bool(raw["converged"]),
+        b=_typed(raw, "b", float, path),
+        m=_typed(raw, "m", int, path),
+        omega=_typed(raw, "omega", float, path),
+        modes=modes,
+        nodes=_typed(raw, "nodes", int, path),
+        a1=_coefficients(raw, "a1", modes, path),
+        a2=_coefficients(raw, "a2", modes, path),
+        residual_max=_typed(raw, "residual_max", float, path),
+        iterations=_typed(raw, "iterations", int, path),
+        converged=_typed(raw, "converged", bool, path),
     )
 
 

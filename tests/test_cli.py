@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, files written, output text."""
 
+import json
 import re
 import xml.etree.ElementTree as ET
 
@@ -274,6 +275,36 @@ def test_render_unreadable_input(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "cannot read state file" in err
+
+
+def test_render_rejects_invalid_values(tmp_path, capsys):
+    """A null scalar used to end in a traceback and a null coefficient in
+    an SVG full of nan with exit 0."""
+    state_path = tmp_path / "state.json"
+    code, _, _ = run(
+        capsys,
+        "solve", "--b", "0.63", "--m", "4", "--omega", "0.1520",
+        "--seed-a1", "0.06", "--nodes", "128", "--modes", "15",
+        "--out", str(state_path), "--no-timestamp",
+    )
+    assert code == EXIT_OK
+    doc = json.loads(state_path.read_text())
+    nulled_coefficient = dict(doc, a1=[None] + doc["a1"][1:])
+    for broken in (dict(doc, b=None), nulled_coefficient):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(broken))
+        svg_path = tmp_path / "bad.svg"
+        code, _, err = run(capsys, "render", str(bad), "--out", str(svg_path))
+        assert code == EXIT_USAGE
+        assert "cannot read state file" in err and str(bad) in err
+        assert not svg_path.exists()
+        code, _, err = run(
+            capsys,
+            "solve", "--b", "0.63", "--m", "4", "--omega", "0.1520",
+            "--seed-file", str(bad), "--nodes", "128", "--modes", "15",
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("vstates: error:") and str(bad) in err
 
 
 def test_validate_annulus_suite(capsys):

@@ -16,6 +16,7 @@ from vstates import (
     sweep,
 )
 import vstates.continuation as continuation
+import vstates.solver as solver
 
 CONFIG = SolverConfig(modes=31, nodes=256)
 
@@ -72,10 +73,80 @@ def test_descending_mini_sweep():
 
 
 def test_records_warm_restart():
+    """Chord-converged records are the states a fresh Newton solve finds."""
     branch = sweep(0.63, 4, 0.1350, 0.1360, 5e-4, CONFIG)
     for record in branch.records:
         again = newton_solve(0.63, record.omega, 4, record.report.coeffs, CONFIG)
         assert again.iterations <= 2
+        difference = again.coeffs.as_vector() - record.report.coeffs.as_vector()
+        assert np.abs(difference).max() <= 1e-10
+
+
+def test_sweep_reuses_jacobians(monkeypatch):
+    """Warm solves take chord steps: fewer Jacobians than Newton steps."""
+    formed = []
+    exact = solver.jacobian
+
+    def counted(*args):
+        formed.append(args[1])
+        return exact(*args)
+
+    monkeypatch.setattr(solver, "jacobian", counted)
+    branch = sweep(0.63, 4, 0.1350, 0.1370, 5e-4, CONFIG)
+    assert len(branch.records) == 5 and branch.terminated_at is None
+    steps = sum(record.report.iterations for record in branch.records)
+    assert len(formed) < steps
+
+
+def test_attempt_after_a_failure_starts_fresh(monkeypatch):
+    """A failed attempt drops the carried factors: the bridge and the
+    ladder that follow form their own Jacobian first."""
+    calls = []
+    solve = continuation.newton_solve
+
+    def recorded(b, omega, m, seed, config, chord=None):
+        carried = chord is not None and chord.lu is not None
+        try:
+            report = solve(b, omega, m, seed, config, chord)
+        except Exception:
+            calls.append((omega, carried, False))
+            raise
+        calls.append((omega, carried, report.converged and not report.trivial))
+        return report
+
+    monkeypatch.setattr(continuation, "newton_solve", recorded)
+    # the warm solve at 0.1352 and its bridge both fall back to the annulus
+    branch = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
+    assert len(branch.records) == 2
+    failures = [i for i, (_, _, usable) in enumerate(calls) if not usable]
+    assert len(failures) >= 2
+    for i in failures:
+        if i + 1 < len(calls):
+            assert not calls[i + 1][1]
+
+
+def test_invalid_predicted_seed_is_a_failed_attempt(monkeypatch):
+    """A secant seed that is not a valid contour fails its attempt and
+    the sweep bridges over it instead of raising InvalidContour."""
+    reference = sweep(0.63, 4, 0.1350, 0.1365, 5e-4, CONFIG)
+    secant = continuation._secant
+    broken_at = reference.records[2].omega
+
+    def predict(known, omega):
+        seed = secant(known, omega)
+        if omega == broken_at:
+            a1 = seed.a1.copy()
+            a1[0] = 2.0  # the outer radius, about 1 + 2 cos(4 theta), goes negative
+            return seed.replace_coefficients(a1, seed.a2)
+        return seed
+
+    monkeypatch.setattr(continuation, "_secant", predict)
+    branch = sweep(0.63, 4, 0.1350, 0.1365, 5e-4, CONFIG)
+    assert branch.terminated_at is None
+    assert [r.omega for r in branch.records] == [r.omega for r in reference.records]
+    for record, expected in zip(branch.records, reference.records):
+        difference = record.report.coeffs.as_vector() - expected.report.coeffs.as_vector()
+        assert np.abs(difference).max() <= 1e-10
 
 
 def test_single_point_sweep():

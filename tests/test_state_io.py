@@ -90,6 +90,44 @@ def test_state_file_validation(tmp_path, reference_state):
             load_state(bad)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("b", None),
+        ("omega", "0.152"),
+        ("residual_max", float("nan")),
+        ("b", float("inf")),
+        ("m", None),
+        ("modes", True),
+        ("nodes", 256.5),
+        ("iterations", None),
+        ("converged", None),
+        ("a1", "entry"),
+        ("a2", "entry"),
+    ],
+)
+def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, value):
+    """A present but null, non-numeric or non-finite field is named in a
+    ValueError; "entry" puts the value into one coefficient."""
+    state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
+    path = tmp_path / "state.json"
+    save_state(path, state, timestamp=False)
+    doc = json.loads(path.read_text())
+    if value == "entry":
+        doc[field][3] = None
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{path}: field '{field}'"):
+        load_state(path)
+    if value == "entry":
+        for entry in (float("nan"), "0.1", False):
+            doc[field][3] = entry
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=f"field '{field}'"):
+                load_state(path)
+
+
 def test_nonfinite_values_refused(tmp_path, reference_state):
     state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
     broken = StateFile(
