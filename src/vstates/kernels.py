@@ -1,8 +1,9 @@
 """The quadrature hot loop: trapezoidal boundary-integral sums in numpy.
 
-`kernel_sums` does almost all of the work of every residual evaluation:
-each call forms the full targets x sources table of complex kernel
-terms.
+`kernel_sums` does almost all of the work of every residual evaluation.
+A boundary with m-fold symmetry is given by one sector of its nodes:
+the m rotated copies of each sector node are summed in closed form, so
+each call forms one targets x (N/m) table instead of targets x N.
 """
 
 from __future__ import annotations
@@ -17,32 +18,46 @@ def active_backend() -> str:
     return "python"
 
 
-def kernel_sums(target_z, source_z, source_dz, self_source):
+def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
     """Trapezoidal boundary-integral sums at each target point.
 
     Evaluates, for every target z,
 
         (1 / (i N)) sum_k (conj(zeta_k) - conj(z)) / (zeta_k - z) * dzeta_k
 
-    over the N source nodes (zeta_k, dzeta_k).  With ``self_source``
-    true the targets must be the leading slice of the source nodes,
-    index aligned; the k = i term is then replaced by its removable
-    limit conj(dzeta_i).
+    over the N = fold * len(source_z) nodes of an m-fold symmetric
+    boundary (m = fold), given by one sector of them: node k + j N/m is
+    w^j times node k, w = exp(2 pi i / m), and so is its dzeta.  The
+    m rotated copies of a sector node sum to
+
+        m dzeta (conj(zeta) z^(m-1) - conj(z) zeta^(m-1)) / (zeta^m - z^m),
+
+    which is the plain term at m = 1.  With ``self_source`` true the
+    targets must be the leading slice of the sector nodes, index
+    aligned; node i itself (the j = 0 copy) then takes its removable
+    limit conj(dzeta_i), and each of its other m - 1 copies equals
+    -conj(z_i) dzeta_i / z_i.
     """
     target_z = np.asarray(target_z, dtype=np.complex128)
     source_z = np.asarray(source_z, dtype=np.complex128)
     source_dz = np.asarray(source_dz, dtype=np.complex128)
-    diff = source_z[None, :] - target_z[:, None]
-    numer = np.conj(diff)
+    target_pow = target_z ** (fold - 1)
+    source_pow = source_z ** (fold - 1)
+    # 1 / (zeta^m - z^m), the only (targets x sector) table, built in place
+    table = np.subtract((source_pow * source_z)[None, :], (target_pow * target_z)[:, None])
     if self_source:
         idx = np.arange(len(target_z))
-        diff[idx, idx] = 1.0  # placeholder; the term is overwritten below
-    # in place, so diff and numer are the only (targets x sources) tables
-    terms = np.divide(numer, diff, out=numer)
-    terms *= source_dz[None, :]
+        table[idx, idx] = 1.0  # placeholder; the entry is zeroed below
+    np.reciprocal(table, out=table)
     if self_source:
-        terms[idx, idx] = np.conj(source_dz[idx])
-    return terms.sum(axis=1) / (1j * len(source_z))
+        table[idx, idx] = 0.0
+    weights = np.stack([np.conj(source_z) * source_dz, source_pow * source_dz], axis=1)
+    sums = table @ weights
+    total = fold * (target_pow * sums[:, 0] - np.conj(target_z) * sums[:, 1])
+    if self_source:
+        dz = source_dz[idx]
+        total += np.conj(dz) - (fold - 1) * np.conj(target_z) * dz / target_z
+    return total / (1j * fold * len(source_z))
 
 
 def min_separation(target_z, source_z):

@@ -18,6 +18,13 @@ vanishing of
     r_j(theta) = Re[(2 omega conj(z_j) + I_1(z_j) - I_2(z_j)) dz_j/dtheta]
 
 on both boundaries j = 1, 2.
+
+For a shape with m-fold symmetry both the targets and the sources
+reduce to one sector of N/m nodes: r_j on the sector determines it
+everywhere, and `kernels.kernel_sums` sums the m rotated copies of each
+sector source in closed form.  `kernel_integral` and
+`vstate_residual_pointwise` make no use of the symmetry and sum over all
+N nodes, which keeps them an independent full-grid check.
 """
 
 from __future__ import annotations
@@ -88,32 +95,36 @@ def kernel_integral(
     raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
 
 
-def _induced_terms(sc: SampledContour, count: int) -> tuple[ComplexArray, ComplexArray]:
-    """Combined integral I_1 - I_2 at the leading nodes of both boundaries."""
-    t1 = sc.z1[:count]
-    t2 = sc.z2[:count]
-    outer_on_outer = kernels.kernel_sums(t1, sc.z1, sc.dz1, True)
-    inner_on_outer = kernels.kernel_sums(t1, sc.z2, sc.dz2, False)
-    outer_on_inner = kernels.kernel_sums(t2, sc.z1, sc.dz1, False)
-    inner_on_inner = kernels.kernel_sums(t2, sc.z2, sc.dz2, True)
+def _induced_terms(z1, dz1, z2, dz2, fold: int) -> tuple[ComplexArray, ComplexArray]:
+    """Combined integral I_1 - I_2 at the sector nodes of both boundaries."""
+    outer_on_outer = kernels.kernel_sums(z1, z1, dz1, True, fold)
+    inner_on_outer = kernels.kernel_sums(z1, z2, dz2, False, fold)
+    outer_on_inner = kernels.kernel_sums(z2, z1, dz1, False, fold)
+    inner_on_inner = kernels.kernel_sums(z2, z2, dz2, True, fold)
     return outer_on_outer - inner_on_outer, outer_on_inner - inner_on_inner
 
 
 def residual_sector(
-    sc: SampledContour, omega: float, count: int
+    sc: SampledContour, omega: float, fold: int
 ) -> tuple[FloatArray, FloatArray]:
-    """Pointwise rotation residual at the leading `count` nodes.
+    """Pointwise rotation residual on the fundamental sector of an m-fold shape.
 
-    Every value is still a full trapezoid sum over all N source nodes;
-    only the target set is restricted.  With count = N/m this evaluates
-    one fundamental sector, which determines the rest by symmetry.
+    The contour must have the m-fold symmetry (m = fold, a divisor of
+    N) that `sample` builds in.  The targets are the leading N/m nodes
+    of each boundary, which determine the rest by symmetry, and the
+    sources are the same N/m nodes: each value is still the trapezoid
+    sum over all N nodes, with the m rotated copies of every sector
+    node summed in closed form.  With fold = 1 this is the plain sum on
+    the full grid.
     """
-    if not 0 < count <= sc.nodes:
-        raise ValueError(f"count must lie in 1..{sc.nodes}, got {count}")
-    induced1, induced2 = _induced_terms(sc, count)
+    if fold < 1 or sc.nodes % fold:
+        raise ValueError(f"fold must be a positive divisor of {sc.nodes}, got {fold}")
+    count = sc.nodes // fold
+    z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
+    induced1, induced2 = _induced_terms(z1, dz1, z2, dz2, fold)
     two_omega = 2.0 * omega
-    r1 = np.real((two_omega * np.conj(sc.z1[:count]) + induced1) * sc.dz1[:count])
-    r2 = np.real((two_omega * np.conj(sc.z2[:count]) + induced2) * sc.dz2[:count])
+    r1 = np.real((two_omega * np.conj(z1) + induced1) * dz1)
+    r2 = np.real((two_omega * np.conj(z2) + induced2) * dz2)
     return r1, r2
 
 
@@ -125,4 +136,4 @@ def vstate_residual_pointwise(
     Returns (r1, r2); both vanish identically exactly when the sampled
     shape is a discrete V-state at angular velocity omega.
     """
-    return residual_sector(sc, omega, sc.nodes)
+    return residual_sector(sc, omega, 1)

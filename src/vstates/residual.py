@@ -12,7 +12,9 @@ annulus maps to zero for every (b, omega): the trivial branch.
 
 By symmetry the projection only needs the residual on the fundamental
 sector, where it reduces to a length-N/m transform: frequency m k on
-the full grid is frequency k on the sector grid.
+the full grid is frequency k on the sector grid.  `assemble` also sums
+over the sector's sources only, so each of its four kernel tables is
+(N/m) x (N/m).  `jacobian` still forms (N/m) x 3N tables.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
     InvalidContour
         Propagated from sampling when the shape is degenerate.
     """
-    r1, r2 = residual_sector(sample(coeffs, nodes), omega, nodes // coeffs.fold)
+    r1, r2 = residual_sector(sample(coeffs, nodes), omega, coeffs.fold)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     return DiscreteResidual(
         b1=_sine_coefficients(r1, coeffs.modes),

@@ -40,6 +40,8 @@ _STATE_FIELDS = (
     "residual_max", "iterations", "converged",
 )
 _BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
+_BRANCH_COLUMNS = ("omega", "distance", "iterations", "a1_1", "a2_1", "converged")
+_ROW_KINDS = (float, float, int, float, float)  # the numeric columns, in order
 
 
 def _fmt(x: float) -> str:
@@ -89,6 +91,19 @@ def _coefficients(raw: dict, key: str, modes: int, path: str | Path) -> FloatArr
     if not all(_is_number(value) for value in values):
         raise ValueError(f"{path}: field {key!r} holds an entry that is not a finite number")
     return np.array(values, dtype=np.float64)
+
+
+def _parse(text: str, kind: type, where: str, path: str | Path):
+    """text as a finite float or an int; ValueError naming the file and
+    `where` (the field, or the row and column) when it is anything else."""
+    try:
+        value = kind(text)
+        valid = kind is int or math.isfinite(value)
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"{path}: {where} is not a valid {kind.__name__}: {text!r}")
+    return value
 
 
 def _timestamp() -> str:
@@ -251,7 +266,7 @@ def save_branch(path: str | Path, bf: BranchFile, timestamp: bool = True) -> Non
         f"# omega_step: {_fmt(bf.omega_step)}",
         f"# modes: {bf.modes}",
         f"# nodes: {bf.nodes}",
-        "omega,distance,iterations,a1_1,a2_1,converged",
+        ",".join(_BRANCH_COLUMNS),
     ]
     for row in bf.rows:
         lines.append(
@@ -284,24 +299,28 @@ def load_branch(path: str | Path) -> BranchFile:
             header[key.strip()] = value.strip()
             continue
         if not saw_columns:
-            expected = "omega,distance,iterations,a1_1,a2_1,converged"
-            if line.strip() != expected:
+            if line.strip() != ",".join(_BRANCH_COLUMNS):
                 raise ValueError(f"{path}: unexpected column row {line!r}")
             saw_columns = True
             continue
         fields = line.split(",")
         if len(fields) != 6:
             raise ValueError(f"{path}: malformed row {line!r}")
+        where = f"row {line!r} column"
         if fields[5] == "terminated":
-            terminated_at = float(fields[0])
+            terminated_at = _parse(fields[0], float, f"{where} 'omega'", path)
             continue
+        omega, distance, iterations, a1_1, a2_1 = (
+            _parse(text, kind, f"{where} {name!r}", path)
+            for text, kind, name in zip(fields, _ROW_KINDS, _BRANCH_COLUMNS)
+        )
         rows.append(
             BranchRow(
-                omega=float(fields[0]),
-                distance=float(fields[1]),
-                iterations=int(fields[2]),
-                a1_1=float(fields[3]),
-                a2_1=float(fields[4]),
+                omega=omega,
+                distance=distance,
+                iterations=iterations,
+                a1_1=a1_1,
+                a2_1=a2_1,
                 converged=fields[5] == "true",
             )
         )
@@ -313,12 +332,12 @@ def load_branch(path: str | Path) -> BranchFile:
     _require(header, _BRANCH_FIELDS, path)
     return BranchFile(
         schema_version=version,
-        b=float(header["b"]),
-        m=int(header["m"]),
+        b=_parse(header["b"], float, "field 'b'", path),
+        m=_parse(header["m"], int, "field 'm'", path),
         origin=header["origin"],
-        omega_step=float(header["omega_step"]),
-        modes=int(header["modes"]),
-        nodes=int(header["nodes"]),
+        omega_step=_parse(header["omega_step"], float, "field 'omega_step'", path),
+        modes=_parse(header["modes"], int, "field 'modes'", path),
+        nodes=_parse(header["nodes"], int, "field 'nodes'", path),
         rows=rows,
         terminated_at=terminated_at,
     )

@@ -1,4 +1,8 @@
-"""The numpy kernel sums against a plain loop over the trapezoid rule."""
+"""The numpy kernel sums against a plain loop over the trapezoid rule.
+
+The loop runs over all N nodes; `kernel_sums` is given one sector of
+them and sums the rotated copies in closed form.
+"""
 
 import numpy as np
 
@@ -7,8 +11,8 @@ from vstates import kernels, sample
 from test_contour import random_coeffs
 
 
-def workload(rng, nodes=120):
-    coeffs = random_coeffs(rng, fold=3, modes=6, scale=0.05)
+def workload(rng, nodes=120, fold=3):
+    coeffs = random_coeffs(rng, fold=fold, modes=6, scale=0.05)
     sc = sample(coeffs, nodes)
     return sc
 
@@ -36,16 +40,42 @@ def manual_sums(targets, z, dz, self_source):
 
 
 def test_diagonal_replacement_against_manual_loop(rng):
-    """All three call shapes of the residual: full self-source, the
-    leading-sector self-source and a sum over the other boundary."""
-    sc = workload(rng, 60)
-    for targets, z, dz, self_source in (
-        (sc.z1, sc.z1, sc.dz1, True),
-        (sc.z1[: 60 // 3], sc.z1, sc.dz1, True),
-        (sc.z1[: 60 // 3], sc.z2, sc.dz2, False),
-    ):
-        got = kernels.kernel_sums(targets, z, dz, self_source)
-        assert np.abs(got - manual_sums(targets, z, dz, self_source)).max() < 1e-14
+    """One sector of sources against the loop over all N nodes, at every
+    fold the residual meets: self-source with the whole sector or a
+    leading slice of it as targets, and a sum over the other boundary."""
+    for fold in (1, 3, 4, 12):
+        nodes = 24 * fold
+        sector = nodes // fold
+        sc = workload(rng, nodes, fold)
+        for targets, z, dz, self_source in (
+            (sc.z1[:sector], sc.z1, sc.dz1, True),
+            (sc.z2[:sector], sc.z2, sc.dz2, True),
+            (sc.z1[:5], sc.z1, sc.dz1, True),
+            (sc.z1[:sector], sc.z2, sc.dz2, False),
+            (sc.z2[:sector], sc.z1, sc.dz1, False),
+        ):
+            got = kernels.kernel_sums(targets, z[:sector], dz[:sector], self_source, fold)
+            want = manual_sums(targets, z, dz, self_source)
+            assert np.abs(got - want).max() < 1e-14, (fold, len(targets), self_source)
+
+
+def test_diagonal_rotated_copies_explicitly(rng):
+    """A node's m - 1 rotated copies each contribute -conj(z) dz / z.
+
+    A one-node sector holds only the diagonal: its value is the limit
+    conj(dz_i) plus the explicit sum over the copies on the full grid.
+    """
+    for fold in (3, 4, 12):
+        nodes = 24 * fold
+        sector = nodes // fold
+        sc = workload(rng, nodes, fold)
+        for i in (0, 5, sector - 1):
+            z, dz = sc.z1[i : i + 1], sc.dz1[i : i + 1]
+            copies = np.arange(1, fold) * sector + i
+            d = sc.z1[copies] - z[0]
+            explicit = np.conj(dz[0]) + np.sum(np.conj(d) / d * sc.dz1[copies])
+            got = kernels.kernel_sums(z, z, dz, True, fold)[0]
+            assert abs(got - explicit / (1j * fold)) < 1e-14
 
 
 def test_min_separation():

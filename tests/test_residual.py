@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vstates.kernels
 import vstates.solver
 
 from vstates import (
@@ -35,7 +36,7 @@ def test_annulus_projects_to_zero(rng):
 
 
 def test_fold_reduced_path_matches_full_transform(rng):
-    for fold in (1, 3, 4):
+    for fold in (1, 3, 4, 12):
         coeffs = random_coeffs(rng, fold=fold, modes=6, scale=0.05)
         nodes = 48 * fold
         fast = assemble(coeffs, 0.21, nodes)
@@ -43,6 +44,22 @@ def test_fold_reduced_path_matches_full_transform(rng):
         assert np.abs(fast.b1 - slow.b1).max() < 1e-13
         assert np.abs(fast.b2 - slow.b2).max() < 1e-13
         assert abs(fast.max_abs - slow.max_abs) < 1e-13
+
+
+def test_assemble_sums_over_sector_sources(monkeypatch):
+    """Every kernel sum of an m = 12 assemble is (N/m) x (N/m) pairs."""
+    nodes, fold = 768, 12
+    sector = nodes // fold
+    shapes = []
+    kernel_sums = vstates.kernels.kernel_sums
+
+    def recording(targets, source_z, *args):
+        shapes.append((len(targets), len(source_z)))
+        return kernel_sums(targets, source_z, *args)
+
+    monkeypatch.setattr(vstates.kernels, "kernel_sums", recording)
+    assemble(perturbed_annulus(0.85, fold, 31, a1_1=0.06), 0.09011, nodes)
+    assert shapes == [(sector, sector)] * 4  # 4 (N/m)^2 pairs, not 4 N^2/m
 
 
 def test_reconstruction_consistency(rng):

@@ -1,6 +1,7 @@
 """State and branch files: round trips, determinism, validation."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -193,3 +194,27 @@ def test_branch_rejects_malformed_rows(tmp_path):
     )
     with pytest.raises(ValueError, match="missing field 'b'"):
         load_branch(path)
+
+    def document(b="0.6", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true"):
+        return (
+            f"# format: vstate-branch\n# schema_version: 1\n# b: {b}\n# m: 4\n"
+            f"# origin: omega_plus\n# omega_step: {omega_step}\n# modes: 31\n"
+            f"# nodes: 512\nomega,distance,iterations,a1_1,a2_1,converged\n{row}\n"
+        )
+
+    path.write_text(document())
+    assert load_branch(path).rows[0].distance == 0.3
+    for bad, where in (
+        (dict(row="0.19,nan,7,0.05,-0.04,true"), "column 'distance'"),
+        (dict(row="inf,0.3,7,0.05,-0.04,true"), "column 'omega'"),
+        (dict(row="0.19,0.3,7,-inf,-0.04,true"), "column 'a1_1'"),
+        (dict(row="0.19,0.3,7,0.05,abc,true"), "column 'a2_1'"),
+        (dict(row="0.19,0.3,7.5,0.05,-0.04,true"), "column 'iterations'"),
+        (dict(row="nan,,,,,terminated"), "column 'omega'"),
+        (dict(b="nan"), "field 'b'"),
+        (dict(omega_step="inf"), "field 'omega_step'"),
+        (dict(omega_step="fast"), "field 'omega_step'"),
+    ):
+        path.write_text(document(**bad))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
+            load_branch(path)
