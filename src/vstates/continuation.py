@@ -124,6 +124,10 @@ def default_seed_ladder(
 
 
 def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
+    named = (("omega_start", start), ("omega_end", end), ("omega_step", step))
+    for name, value in named:
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if step == 0.0:
         raise ValueError("omega_step must be nonzero")
     if start == end:
@@ -201,8 +205,9 @@ def sweep(
     b, m : float, int
         Inner radius and fold of the family.
     omega_start, omega_end, omega_step : float
-        Uniform marching grid; the sign of omega_step must point from
-        start to end.  Start one step away from an eigenvalue, not on it.
+        Uniform marching grid of finite values; the sign of omega_step
+        must point from start to end.  Start one step away from an
+        eigenvalue, not on it.
     config : SolverConfig
         Passed through to every solve; solves from a warm seed stop
         after at most WARM_MAX_ITER steps.
@@ -212,6 +217,9 @@ def sweep(
 
     Raises
     ------
+    ValueError
+        When the omega grid is not finite or does not march toward
+        omega_end.
     EmptyBranch
         When every ladder seed fails at omega_start.
     """

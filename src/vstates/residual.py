@@ -14,7 +14,8 @@ By symmetry the projection only needs the residual on the fundamental
 sector, where it reduces to a length-N/m transform: frequency m k on
 the full grid is frequency k on the sector grid.  `assemble` also sums
 over the sector's sources only, so each of its four kernel tables is
-(N/m) x (N/m).  `jacobian` still forms (N/m) x 3N tables.
+(N/m) x (N/m), and so is each of the two tables per boundary pair of
+`jacobian`.
 """
 
 from __future__ import annotations
@@ -90,16 +91,35 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     a2_1..a2_M).  Raising a_{p,l} moves boundary p by
     delta z = e^{i theta} cos(m l theta) and its derivative by
     delta z' = e^{i theta} (i cos(m l theta) - m l sin(m l theta)).  Each
-    kernel term conj(d) / d zeta'_k, d = zeta_k - z_i, then changes by
+    kernel term conj(d) / d zeta'_k, d = zeta_k - z, then changes by
 
-        conj(delta d) P - delta d Q + R delta zeta'_k,
-        P = zeta'_k / d,  R = conj(d) / d,  Q = R P,
+        conj(delta d) zeta'_k / d - delta d conj(d) zeta'_k / d^2
+            + delta zeta'_k conj(d) / d,   delta d = delta zeta_k - delta z.
 
-    with delta d = delta zeta_k - delta z_i.  Moving the sources gives
-    three (targets x N) by (N x M) products, moving the targets gives row
-    sums of P and Q, and the diagonal limit conj(zeta'_i) of a boundary
-    on itself changes by conj(delta zeta'_i).  The targets are those of
-    `assemble`: the leading N/m nodes of each boundary (all N for m = 1).
+    As in `assemble`, the targets z and the sources zeta are the leading
+    N/m nodes of each boundary.  The rotated copy u zeta (u^m = 1) of a
+    sector source carries u zeta', u delta zeta and u delta zeta', so
+    its m copies sum to combinations of S_p = sum_u u^p / (u zeta - z)
+    and T_p = dS_p / dz.  With F = m / (zeta^m - z^m),
+
+        source motion:  zeta' S_0 conj(delta zeta) - zeta' (conj(zeta) T_1
+            - conj(z) T_2) delta zeta + (conj(zeta) S_0 - conj(z) S_1) delta zeta',
+        target motion:  delta z zeta' (conj(zeta) T_0 - conj(z) T_1)
+            - conj(delta z) zeta' S_1,
+
+        S_0 = z^(m-1) F,  S_1 = zeta^(m-1) F,  T_1 = zeta^(m-1) z^(m-1) F^2,
+        T_0 = (m-1) z^(m-2) F + z^(2m-2) F^2,  T_2 = zeta^(m-2) (F + z^m F^2).
+
+    (At m = 1 the closed form of S_2 is off by the constant 1 / zeta,
+    which T_2 does not see.)  Every (targets x sector) table is then a
+    row and column scaling of F or F^2: per boundary pair one F and one
+    F^2 table, each times 2M + 2 weight columns, give the source motion,
+    the kernel itself and the target-motion sums over the sources.
+
+    On a boundary itself F is zeroed at the node under the target, and
+    its m copies are added back: the removable limit conj(z') of the
+    node itself, and -conj(z) z' / z for each of the other m - 1, both
+    differentiated in z and z'.
 
     Raises
     ------
@@ -107,61 +127,80 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         Propagated from sampling when the shape is degenerate.
     """
     sc = sample(coeffs, nodes)
-    modes = coeffs.modes
-    count = nodes // coeffs.fold
-    cos, sin, unit = _basis(nodes, coeffs.fold, modes)
-    # conj(delta z), -delta z and delta z' per unit a_{p,l}, stacked so
-    # that P @ conj(delta z) - Q @ delta z + R @ delta z' is one product
-    stacked = np.empty((3, nodes, modes), dtype=np.complex128)
-    np.multiply(unit[:, None], cos, out=stacked[1])
-    np.conjugate(stacked[1], out=stacked[0])
-    np.negative(stacked[1], out=stacked[1])
-    np.multiply(unit[:, None], 1j * cos - sin, out=stacked[2])
-    target_shift = -stacked[1, :count]
-    target_tilt = stacked[2, :count]
-    stacked = stacked.reshape(3 * nodes, modes)
-    tables = np.empty((count, 3 * nodes), dtype=np.complex128)
-    p_tab, q_tab, r_tab = np.split(tables, 3, axis=1)
+    fold, modes = coeffs.fold, coeffs.modes
+    count = nodes // fold
+    cos, sin, unit = _basis(nodes, fold, modes)
+    # delta z and delta z' per unit a_{p,l} at the sector nodes of either boundary
+    shift = unit[:count, None] * cos[:count]
+    tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
     diag = np.arange(count)
-    z, dz = (sc.z1, sc.z2), (sc.dz1, sc.dz2)
+    z = (sc.z1[:count], sc.z2[:count])
+    dz = (sc.dz1[:count], sc.dz2[:count])
     blocks = (slice(0, modes), slice(modes, 2 * modes))
     jac = np.empty((2 * modes, 2 * modes))
     for t in range(2):
-        target, target_dz = z[t][:count], dz[t][:count]
+        target, target_dz = z[t], dz[t]
+        target_pow = target ** (fold - 1)
+        target_conj = np.conj(target)
         # I_t and i N dI_t / da, summed over the sources with sign +1 (outer)
         # and -1 (inner)
         induced = np.zeros(count, dtype=np.complex128)
         d_induced = np.zeros((count, 2 * modes), dtype=np.complex128)
         for s, sign in ((0, 1.0), (1, -1.0)):
-            # d = zeta_k - z_i, held in r_tab until R replaces it in place
-            diff = np.subtract(z[s][None, :], target[:, None], out=r_tab)
+            source, source_dz = z[s], dz[s]
+            source_pow = source ** (fold - 1)
+            table = np.subtract(
+                (source_pow * source)[None, :], (target_pow * target)[:, None]
+            )
             if s == t:
-                diff[diag, diag] = 1.0  # placeholder; the diagonal is zeroed below
-            np.divide(dz[s][None, :], diff, out=p_tab)
-            np.conjugate(diff, out=q_tab)
-            np.divide(q_tab, diff, out=r_tab)
-            np.multiply(r_tab, p_tab, out=q_tab)
+                table[diag, diag] = 1.0  # placeholder; the entry is zeroed below
+            np.divide(fold, table, out=table)
             if s == t:
-                for table in (p_tab, q_tab, r_tab):
-                    table[diag, diag] = 0.0
-            kernel = r_tab @ dz[s]
-            d_source = tables @ stacked
+                table[diag, diag] = 0.0
+            kernel_w = np.conj(source) * source_dz
+            pow_w = source_pow * source_dz
+            low_w = pow_w / source
+            lin = table @ np.column_stack([
+                source_dz[:, None] * np.conj(shift) + np.conj(source)[:, None] * tilt,
+                low_w[:, None] * shift - source_pow[:, None] * tilt,
+                kernel_w,
+                pow_w,
+            ])
+            sq = np.square(table, out=table) @ np.column_stack([
+                (kernel_w * source_pow)[:, None] * shift,
+                low_w[:, None] * shift,
+                kernel_w,
+                pow_w,
+            ])
+            kernel = target_pow * lin[:, -2] - target_conj * lin[:, -1]
+            sum_p = lin[:, -1]
+            sum_q = (fold - 1) * target_pow / target * lin[:, -2] + target_pow * (
+                target_pow * sq[:, -2] - target_conj * sq[:, -1]
+            )
+            d_source = target_pow[:, None] * (
+                lin[:, :modes] - sq[:, :modes]
+            ) + target_conj[:, None] * (
+                lin[:, modes:-2] + (target_pow * target)[:, None] * sq[:, modes:-2]
+            )
             if s == t:
-                kernel += np.conj(target_dz)
-                d_source += np.conj(target_tilt)
+                ratio = target_dz / target
+                kernel += np.conj(target_dz) - (fold - 1) * target_conj * ratio
+                d_source += np.conj(tilt) - (fold - 1) * (
+                    np.conj(shift) * ratio[:, None]
+                    + (target_conj / target)[:, None] * (tilt - ratio[:, None] * shift)
+                )
             induced += sign * kernel
             d_induced[:, blocks[s]] += sign * d_source
             d_induced[:, blocks[t]] += sign * (
-                target_shift * q_tab.sum(axis=1)[:, None]
-                - np.conj(target_shift) * p_tab.sum(axis=1)[:, None]
+                shift * sum_q[:, None] - np.conj(shift) * sum_p[:, None]
             )
         scale = 1.0 / (1j * nodes)
         induced *= scale
         d_induced *= scale
         d_res = np.real(d_induced * target_dz[:, None])
         d_res[:, blocks[t]] += np.real(
-            2.0 * omega * np.conj(target_shift) * target_dz[:, None]
-            + (2.0 * omega * np.conj(target) + induced)[:, None] * target_tilt
+            2.0 * omega * np.conj(shift) * target_dz[:, None]
+            + (2.0 * omega * target_conj + induced)[:, None] * tilt
         )
         jac[blocks[t]] = _sine_coefficients(d_res, modes)
     return jac

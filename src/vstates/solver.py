@@ -168,6 +168,8 @@ class ChordFactors:
 
 def default_modes(fold: int, nodes: int) -> int:
     """Largest alias-free truncation for an N-node grid at fold m."""
+    if fold < 1:
+        raise ValueError(f"fold must be a positive integer, got {fold}")
     return (nodes // fold - 1) // 2
 
 
@@ -306,7 +308,8 @@ def newton_solve(
     Parameters
     ----------
     b, omega, m : float, float, int
-        Inner radius, angular velocity and symmetry of the sought state.
+        Inner radius, angular velocity (finite) and symmetry of the
+        sought state.
     seed : VortexContourCoeffs or None
         Initial shape; None starts from the annulus (and stays on the
         trivial branch), a first-mode seed is a cold start from the
@@ -327,11 +330,15 @@ def newton_solve(
 
     Raises
     ------
+    ValueError
+        If omega is not finite or the seed does not match the solve.
     GeometryBreakdown
         If an update leaves the space of valid shapes.
     SingularJacobian
         If the linear solve meets a pivot below MIN_PIVOT.
     """
+    if not np.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if seed is None:
         seed = VortexContourCoeffs.annulus(b, m, config.modes)
     if seed.b != b or seed.fold != m or seed.modes != config.modes:

@@ -4,12 +4,16 @@
 projects it with a length-N/m transform.  The functions here evaluate it
 on all N nodes and project it with the length-N transform instead, which
 is the same sine projection computed without using the m-fold symmetry.
+`full_source_jacobian` differentiates `assemble` with every source
+node summed on its own, where `vstates.jacobian` sums the m rotated
+copies of each sector source in closed form.
 """
 
 import numpy as np
 
 from vstates import sample, vstate_residual_pointwise
-from vstates.residual import DiscreteResidual
+from vstates.contour import _basis
+from vstates.residual import DiscreteResidual, _sine_coefficients
 
 
 def _full_grid(coeffs, omega, nodes):
@@ -41,3 +45,81 @@ def projection_defect(coeffs, omega, nodes) -> float:
     return max(
         float(np.max(np.abs(basis @ b1 - r1))), float(np.max(np.abs(basis @ b2 - r2)))
     )
+
+
+def full_source_jacobian(coeffs, omega, nodes):
+    """`jacobian(coeffs, omega, nodes)` with the sources on all N nodes.
+
+    Raising a_{p,l} moves boundary p by delta z = e^{i theta} cos(m l theta)
+    and its derivative by delta z' = e^{i theta} (i cos(m l theta) -
+    m l sin(m l theta)).  Each kernel term conj(d) / d zeta'_k,
+    d = zeta_k - z_i, then changes by
+
+        conj(delta d) P - delta d Q + R delta zeta'_k,
+        P = zeta'_k / d,  R = conj(d) / d,  Q = R P,
+
+    with delta d = delta zeta_k - delta z_i.  Moving the sources gives
+    three (targets x N) by (N x M) products, moving the targets gives row
+    sums of P and Q, and the diagonal limit conj(zeta'_i) of a boundary
+    on itself changes by conj(delta zeta'_i).  The targets are those of
+    `assemble`: the leading N/m nodes of each boundary.
+    """
+    sc = sample(coeffs, nodes)
+    modes = coeffs.modes
+    count = nodes // coeffs.fold
+    cos, sin, unit = _basis(nodes, coeffs.fold, modes)
+    # conj(delta z), -delta z and delta z' per unit a_{p,l}, stacked so
+    # that P @ conj(delta z) - Q @ delta z + R @ delta z' is one product
+    stacked = np.empty((3, nodes, modes), dtype=np.complex128)
+    np.multiply(unit[:, None], cos, out=stacked[1])
+    np.conjugate(stacked[1], out=stacked[0])
+    np.negative(stacked[1], out=stacked[1])
+    np.multiply(unit[:, None], 1j * cos - sin, out=stacked[2])
+    target_shift = -stacked[1, :count]
+    target_tilt = stacked[2, :count]
+    stacked = stacked.reshape(3 * nodes, modes)
+    tables = np.empty((count, 3 * nodes), dtype=np.complex128)
+    p_tab, q_tab, r_tab = np.split(tables, 3, axis=1)
+    diag = np.arange(count)
+    z, dz = (sc.z1, sc.z2), (sc.dz1, sc.dz2)
+    blocks = (slice(0, modes), slice(modes, 2 * modes))
+    jac = np.empty((2 * modes, 2 * modes))
+    for t in range(2):
+        target, target_dz = z[t][:count], dz[t][:count]
+        # I_t and i N dI_t / da, summed over the sources with sign +1 (outer)
+        # and -1 (inner)
+        induced = np.zeros(count, dtype=np.complex128)
+        d_induced = np.zeros((count, 2 * modes), dtype=np.complex128)
+        for s, sign in ((0, 1.0), (1, -1.0)):
+            # d = zeta_k - z_i, held in r_tab until R replaces it in place
+            diff = np.subtract(z[s][None, :], target[:, None], out=r_tab)
+            if s == t:
+                diff[diag, diag] = 1.0  # placeholder; the diagonal is zeroed below
+            np.divide(dz[s][None, :], diff, out=p_tab)
+            np.conjugate(diff, out=q_tab)
+            np.divide(q_tab, diff, out=r_tab)
+            np.multiply(r_tab, p_tab, out=q_tab)
+            if s == t:
+                for table in (p_tab, q_tab, r_tab):
+                    table[diag, diag] = 0.0
+            kernel = r_tab @ dz[s]
+            d_source = tables @ stacked
+            if s == t:
+                kernel += np.conj(target_dz)
+                d_source += np.conj(target_tilt)
+            induced += sign * kernel
+            d_induced[:, blocks[s]] += sign * d_source
+            d_induced[:, blocks[t]] += sign * (
+                target_shift * q_tab.sum(axis=1)[:, None]
+                - np.conj(target_shift) * p_tab.sum(axis=1)[:, None]
+            )
+        scale = 1.0 / (1j * nodes)
+        induced *= scale
+        d_induced *= scale
+        d_res = np.real(d_induced * target_dz[:, None])
+        d_res[:, blocks[t]] += np.real(
+            2.0 * omega * np.conj(target_shift) * target_dz[:, None]
+            + (2.0 * omega * np.conj(target) + induced)[:, None] * target_tilt
+        )
+        jac[blocks[t]] = _sine_coefficients(d_res, modes)
+    return jac

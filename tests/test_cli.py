@@ -245,6 +245,46 @@ def test_sweep_outside_band_fails(tmp_path, capsys):
     assert "sweep failed" in err
 
 
+def test_zero_fold_is_a_usage_error(tmp_path, capsys):
+    for argv in (
+        ("solve", "--omega", "0.152"),
+        ("sweep", "--omega-start", "0.135", "--omega-end", "0.136",
+         "--omega-step", "0.0005"),
+    ):
+        out_path = tmp_path / "out.json"
+        code, _, err = run(
+            capsys, *argv, "--b", "0.63", "--m", "0", "--out", str(out_path)
+        )
+        assert code == EXIT_USAGE
+        assert "fold must be a positive integer" in err
+        assert not out_path.exists()
+
+
+def test_non_finite_omega_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "out.json"
+    code, _, err = run(
+        capsys, "solve", "--b", "0.63", "--m", "4", "--omega", "nan",
+        "--nodes", "256", "--out", str(out_path),
+    )
+    assert code == EXIT_USAGE
+    assert "omega must be finite" in err
+    assert not out_path.exists()
+    grid = {"--omega-start": "0.135", "--omega-end": "0.136", "--omega-step": "0.0005"}
+    for flag, name in (
+        ("--omega-start", "omega_start"),
+        ("--omega-end", "omega_end"),
+        ("--omega-step", "omega_step"),
+    ):
+        argv = [item for pair in {**grid, flag: "nan"}.items() for item in pair]
+        code, _, err = run(
+            capsys, "sweep", "--b", "0.63", "--m", "4", *argv,
+            "--nodes", "256", "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE
+        assert f"{name} must be finite" in err
+        assert not out_path.exists()
+
+
 def test_render_states(tmp_path, capsys):
     paths = []
     for omega in ("0.1400", "0.1520"):

@@ -42,6 +42,17 @@ def test_omega_grid_rejects_bad_steps():
         continuation._omega_grid(0.2, 0.1, 0.01)
 
 
+def test_sweep_rejects_non_finite_omegas():
+    grids = {
+        "omega_start": (float("nan"), 0.16, 0.001),
+        "omega_end": (0.15, float("inf"), 0.001),
+        "omega_step": (0.15, 0.16, float("nan")),
+    }
+    for name, (start, end, step) in grids.items():
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            sweep(0.63, 4, start, end, step, CONFIG)
+
+
 def test_default_ladder_targets_the_expected_boundary():
     ascending = continuation.default_seed_ladder(0.63, 4, 31, descending=False)
     assert [s.a2[0] for s in ascending] == [-a for a in continuation.LADDER_AMPLITUDES]

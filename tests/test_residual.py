@@ -22,7 +22,7 @@ from vstates import (
     sample,
     vstate_residual_pointwise,
 )
-from oracles import full_grid_assemble, projection_defect
+from oracles import full_grid_assemble, full_source_jacobian, projection_defect
 from test_contour import random_coeffs
 
 
@@ -161,19 +161,48 @@ def test_exact_jacobian_matches_finite_differences_full_grid(rng):
     _assert_matches_fd(random_coeffs(rng, b=0.5, fold=1, modes=6, scale=0.05), 0.2, 64)
 
 
-def test_exact_jacobian_matches_finite_differences_at_branch_end():
-    seed = Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
-    state = load_state(seed)
-    assert (state.m, state.nodes, state.modes) == (4, 512, 63)
-    _assert_matches_fd(state.coefficients(), state.omega, state.nodes)
+BRANCH_END_SEED = (
+    Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
+)
 
 
-def test_exact_jacobian_matches_finite_differences_fold_12():
+@pytest.fixture(scope="module")
+def fold_12_state():
+    """Converged 12-fold state at b = 0.85, omega = 0.04852, N = 768."""
     config = SolverConfig(modes=31, nodes=768, max_iter=12)
     seed = perturbed_annulus(0.85, 12, 31, a1_1=0.06)
     report = newton_solve(0.85, 0.04852, 12, seed, config)
     assert report.converged and not report.trivial
-    _assert_matches_fd(report.coeffs, 0.04852, 768)
+    return report.coeffs
+
+
+def test_exact_jacobian_matches_finite_differences_at_branch_end():
+    state = load_state(BRANCH_END_SEED)
+    assert (state.m, state.nodes, state.modes) == (4, 512, 63)
+    _assert_matches_fd(state.coefficients(), state.omega, state.nodes)
+
+
+def test_exact_jacobian_matches_finite_differences_fold_12(fold_12_state):
+    _assert_matches_fd(fold_12_state, 0.04852, 768)
+
+
+def test_fold_reduced_jacobian_matches_full_source(rng, fold_12_state):
+    """Summing the m copies of each sector source in closed form changes nothing.
+
+    Folds 1 and 2 reach zeta^(m-2) = 1 / zeta and 1, which no
+    acceptance sweep does.
+    """
+    cases = [
+        (random_coeffs(rng, fold=fold, modes=6, scale=0.05), 0.21, 48 * fold)
+        for fold in (1, 2, 3, 4, 12)
+    ]
+    state = load_state(BRANCH_END_SEED)
+    cases.append((state.coefficients(), state.omega, state.nodes))
+    cases.append((fold_12_state, 0.04852, 768))
+    for coeffs, omega, nodes in cases:
+        reduced = jacobian(coeffs, omega, nodes)
+        full = full_source_jacobian(coeffs, omega, nodes)
+        assert np.abs(reduced - full).max() < 1e-12 * np.abs(full).max()
 
 
 def test_newton_uses_the_exact_jacobian(monkeypatch):

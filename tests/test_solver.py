@@ -35,6 +35,9 @@ def test_default_modes_rule():
     assert default_modes(4, 512) == 63
     assert default_modes(12, 768) == 31
     assert default_modes(1, 64) == 31
+    for fold in (0, -4):
+        with pytest.raises(ValueError, match="fold must be a positive integer"):
+            default_modes(fold, 512)
 
 
 def test_annulus_seed_returns_trivial_root():
@@ -57,6 +60,14 @@ def test_seed_shape_must_match():
     wrong_modes = perturbed_annulus(0.5, 4, 6, a1_1=0.01)
     with pytest.raises(ValueError):
         newton_solve(0.5, 0.2, 4, wrong_modes, config)
+
+
+def test_non_finite_omega_rejected_up_front():
+    config = SolverConfig(modes=8, nodes=128)
+    seed = perturbed_annulus(0.5, 4, 8, a1_1=0.01)
+    for omega in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            newton_solve(0.5, omega, 4, seed, config)
 
 
 def test_reference_solve_properties(reference_state):
