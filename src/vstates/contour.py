@@ -201,32 +201,21 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     if nodes % m != 0:
         raise ValueError(f"nodes={nodes} must be a multiple of the fold {m}")
     cos, sin, unit = _basis(nodes, m, M)
-    theta = 2.0 * np.pi * np.arange(nodes) / nodes
 
     rho1 = 1.0 + cos @ coeffs.a1
     rho2 = coeffs.b + cos @ coeffs.a2
     drho1 = -(sin @ coeffs.a1)
     drho2 = -(sin @ coeffs.a2)
 
-    worst = int(np.argmin(rho2))
-    if rho2[worst] <= 0.0:
-        raise InvalidContour(
-            f"inner radius must stay positive; rho_2({theta[worst]:.6f}) = "
-            f"{rho2[worst]:.6e}"
-        )
-    worst = int(np.argmin(rho1))
-    if rho1[worst] <= 0.0:
-        raise InvalidContour(
-            f"outer radius must stay positive; rho_1({theta[worst]:.6f}) = "
-            f"{rho1[worst]:.6e}"
-        )
-    gap = rho1 - rho2
-    worst = int(np.argmin(gap))
-    if gap[worst] <= 0.0:
-        raise InvalidContour(
-            f"boundaries must not cross; (rho_1 - rho_2)({theta[worst]:.6f}) = "
-            f"{gap[worst]:.6e}"
-        )
+    for values, label in (
+        (rho2, "inner radius must stay positive; rho_2"),
+        (rho1, "outer radius must stay positive; rho_1"),
+        (rho1 - rho2, "boundaries must not cross; (rho_1 - rho_2)"),
+    ):
+        worst = int(np.argmin(values))
+        if values[worst] <= 0.0:
+            angle = 2.0 * np.pi * worst / nodes
+            raise InvalidContour(f"{label}({angle:.6f}) = {values[worst]:.6e}")
 
     z1 = unit * rho1
     z2 = unit * rho2

@@ -46,27 +46,6 @@ __all__ = [
 ]
 
 
-def _ipow(base: float, exponent: int) -> float:
-    """Integer power by repeated squaring.
-
-    Keeps the rounding error at O(log2(exponent)) multiplications, which
-    matters for the large powers of b appearing in the dispersion
-    relation.
-    """
-    if exponent < 0:
-        raise ValueError("exponent must be non-negative")
-    result = 1.0
-    square = float(base)
-    e = exponent
-    while e:
-        if e & 1:
-            result *= square
-        e >>= 1
-        if e:
-            square *= square
-    return result
-
-
 def _check_inner_radius(b: float) -> None:
     if not 0.0 < b < 1.0:
         raise ValueError(f"inner radius must lie in (0, 1), got {b}")
@@ -95,7 +74,7 @@ def delta(n: int, lam: float, b: float) -> float:
     b2 = b * b
     outer = (1.0 - lam) + b2 + n * (b2 - lam)
     inner = n * (1.0 - lam) - lam
-    return outer * inner + _ipow(b, 2 * n + 2)
+    return outer * inner + b ** (2 * n + 2)
 
 
 def feasibility(m: int, b: float) -> float:
@@ -110,67 +89,37 @@ def feasibility(m: int, b: float) -> float:
     """
     if m < 1:
         raise ValueError(f"fold must be a positive integer, got {m}")
-    return 1.0 + _ipow(b, m) - 0.5 * m * (1.0 - b * b)
+    return 1.0 + b**m - 0.5 * m * (1.0 - b * b)
 
 
-def _safeguarded_root(
-    f: Callable[[float], float],
-    df: Callable[[float], float],
-    lo: float,
-    hi: float,
-    f_tol: float = 1e-13,
-    width_tol: float = 1e-15,
-    max_iter: int = 200,
-) -> float:
-    """Root of a monotone function on a bracketing interval.
+def _bisect(f: Callable[[float], float]) -> float:
+    """Sign change of a monotone f on [0, 1] with f(0) and f(1) of opposite sign.
 
-    Bisection supplies the safeguard; Newton steps are taken whenever
-    they stay inside the current bracket.  Terminates at |f| <= f_tol or
-    bracket width <= width_tol.
+    Halves the bracket, keeping f <= 0 at one end and f > 0 at the
+    other, until its two ends are adjacent doubles, then returns the end
+    with the smaller |f|.  An exact zero is thus returned as is (b_3 = 1/2).
     """
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo < 0.0) == (fhi < 0.0):
-        raise ValueError("root is not bracketed")
-    x = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if abs(fx) <= f_tol or (hi - lo) <= width_tol:
-            return x
-        if (fx < 0.0) == (flo < 0.0):
-            lo, flo = x, fx
+    lo, hi = 0.0, 1.0
+    lo_nonpositive = f(lo) <= 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if (f(mid) <= 0.0) == lo_nonpositive:
+            lo = mid
         else:
-            hi, fhi = x, fx
-        d = df(x)
-        if d != 0.0:
-            candidate = x - fx / d
-            x = candidate if lo < candidate < hi else 0.5 * (lo + hi)
-        else:
-            x = 0.5 * (lo + hi)
-    return x
+            hi = mid
+    return min(lo, hi, key=lambda x: abs(f(x)))
 
 
 def critical_radius(m: int) -> float:
     """Largest inner radius admitting a fold-m eigenvalue pair.
 
-    Returns the unique root of `feasibility` in (0, 1), located to
-    |f_m| <= 1e-13.  Requires m >= 3: folds 1 and 2 have f_m >= 0 on the
-    whole interval and never bifurcate.
+    Returns the unique root of `feasibility` in (0, 1): of the two
+    adjacent doubles that bracket the sign change of f_m, the one with
+    the smaller |f_m|.  Requires m >= 3: folds 1 and 2 have f_m >= 0 on
+    the whole interval and never bifurcate.
     """
     if m < 3:
         raise ValueError(f"fold must be >= 3, got {m}")
-
-    def f(b: float) -> float:
-        return feasibility(m, b)
-
-    def df(b: float) -> float:
-        return m * (b + _ipow(b, m - 1))
-
-    return _safeguarded_root(f, df, 0.0, 1.0)
+    return _bisect(lambda b: feasibility(m, b))
 
 
 @dataclass(frozen=True)
@@ -231,7 +180,7 @@ def eigenvalues_for_fold(m: int, b: float) -> Union[DispersionPoint, Infeasible]
     if f >= 0.0:
         return Infeasible(fold=m, inner_radius=b, feasibility=f)
     g = 0.5 * m * (1.0 - b * b) - 1.0
-    h = _ipow(b, m)
+    h = b**m
     # f < 0 forces g > h > 0, so both factors are positive.
     radius = math.sqrt((g - h) * (g + h)) / (2.0 * m)
     center = 0.25 * (1.0 - b * b)
@@ -271,8 +220,8 @@ def frequency_matrix(n: int, lam: float, b: float) -> FrequencyMatrix:
     b2 = b * b
     entries = np.array(
         [
-            [(1.0 - lam) + b2 + n * (b2 - lam), -_ipow(b, n + 2)],
-            [_ipow(b, n + 1), b * (n * (1.0 - lam) - lam)],
+            [(1.0 - lam) + b2 + n * (b2 - lam), -(b ** (n + 2))],
+            [b ** (n + 1), b * (n * (1.0 - lam) - lam)],
         ]
     )
     return FrequencyMatrix(n=n, lam=lam, b=b, entries=entries)
@@ -292,7 +241,7 @@ def kernel_vector(n: int, lam: float, b: float) -> tuple[float, float]:
     if n < 0:
         raise ValueError(f"frequency must be non-negative, got {n}")
     _check_inner_radius(b)
-    return (n * (1.0 - lam) - lam, -_ipow(b, n))
+    return (n * (1.0 - lam) - lam, -(b**n))
 
 
 def double_eigenvalue_locus(n: int, b: float) -> float:
@@ -306,18 +255,11 @@ def double_eigenvalue_locus(n: int, b: float) -> float:
     if n < 2:
         raise ValueError(f"frequency must be >= 2, got {n}")
     b2 = b * b
-    return (1.0 - b2) * n - (1.0 + b2) - 2.0 * _ipow(b, n + 1)
+    return (1.0 - b2) * n - (1.0 + b2) - 2.0 * b ** (n + 1)
 
 
 def double_eigenvalue_radius(n: int) -> float:
     """Unique root of `double_eigenvalue_locus` in (0, 1)."""
     if n < 2:
         raise ValueError(f"frequency must be >= 2, got {n}")
-
-    def f(b: float) -> float:
-        return double_eigenvalue_locus(n, b)
-
-    def df(b: float) -> float:
-        return -2.0 * b * (n + 1.0) - 2.0 * (n + 1.0) * _ipow(b, n)
-
-    return _safeguarded_root(f, df, 0.0, 1.0)
+    return _bisect(lambda b: double_eigenvalue_locus(n, b))

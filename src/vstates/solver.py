@@ -81,6 +81,11 @@ TRIVIAL_AMPLITUDE = 1e-8
 # for omega - omega_0 ~ c s^2 to stand well above rounding.
 CURVATURE_AMPLITUDE = 1e-3
 
+# The truncated curvature solve stops once its residual falls below
+# CURVATURE_TOL * CURVATURE_AMPLITUDE.  Fixed, not the solve's tol: a
+# loose tol would pass the predictor itself and leave c = 0.
+CURVATURE_TOL = 1e-12
+
 # A chord solve keeps the LU factors of its last Jacobian while every
 # step on them cuts the largest pointwise residual by at least this
 # factor, and forms a fresh Jacobian after one that does not.  On the
@@ -129,8 +134,8 @@ class SolverConfig:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be positive, got {self.nodes}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
@@ -250,7 +255,7 @@ def _branch_curvature(
     for _ in range(10):
         shape = VortexContourCoeffs.from_vector(x, b, m, modes)
         base = residual(shape, omega)
-        if np.abs(base).max() < config.tol * amplitude:
+        if np.abs(base).max() < CURVATURE_TOL * amplitude:
             break
         bordered = np.zeros((size, size))
         full = jacobian(shape, omega, config.nodes)

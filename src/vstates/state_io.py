@@ -42,6 +42,8 @@ _STATE_FIELDS = (
 _BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
 _BRANCH_COLUMNS = ("omega", "distance", "iterations", "a1_1", "a2_1", "converged")
 _ROW_KINDS = (float, float, int, float, float)  # the numeric columns, in order
+# The fields both loaders pass to _check_ranges, in its argument order
+_RANGED_FIELDS = (("b", float), ("m", int), ("modes", int), ("nodes", int))
 
 
 def _fmt(x: float) -> str:
@@ -104,6 +106,16 @@ def _parse(text: str, kind: type, where: str, path: str | Path):
     if not valid:
         raise ValueError(f"{path}: {where} is not a valid {kind.__name__}: {text!r}")
     return value
+
+
+def _check_ranges(path: str | Path, b: float, m: int, modes: int, nodes: int) -> None:
+    """Raise ValueError naming the file and the first field out of range:
+    b outside (0, 1), or m, modes or nodes below 1."""
+    if not 0.0 < b < 1.0:
+        raise ValueError(f"{path}: field 'b' must lie in (0, 1), got {b!r}")
+    for key, value in (("m", m), ("modes", modes), ("nodes", nodes)):
+        if value < 1:
+            raise ValueError(f"{path}: field {key!r} must be at least 1, got {value}")
 
 
 def _timestamp() -> str:
@@ -184,14 +196,15 @@ def load_state(path: str | Path) -> StateFile:
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
     _require(raw, _STATE_FIELDS, path)
-    modes = _typed(raw, "modes", int, path)
+    b, m, modes, nodes = (_typed(raw, key, kind, path) for key, kind in _RANGED_FIELDS)
+    _check_ranges(path, b, m, modes, nodes)
     return StateFile(
         schema_version=version,
-        b=_typed(raw, "b", float, path),
-        m=_typed(raw, "m", int, path),
+        b=b,
+        m=m,
         omega=_typed(raw, "omega", float, path),
         modes=modes,
-        nodes=_typed(raw, "nodes", int, path),
+        nodes=nodes,
         a1=_coefficients(raw, "a1", modes, path),
         a2=_coefficients(raw, "a2", modes, path),
         residual_max=_typed(raw, "residual_max", float, path),
@@ -314,6 +327,10 @@ def load_branch(path: str | Path) -> BranchFile:
             _parse(text, kind, f"{where} {name!r}", path)
             for text, kind, name in zip(fields, _ROW_KINDS, _BRANCH_COLUMNS)
         )
+        if fields[5] not in ("true", "false"):
+            raise ValueError(
+                f"{path}: {where} 'converged' is not true or false: {fields[5]!r}"
+            )
         rows.append(
             BranchRow(
                 omega=omega,
@@ -330,14 +347,18 @@ def load_branch(path: str | Path) -> BranchFile:
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
     _require(header, _BRANCH_FIELDS, path)
+    b, m, modes, nodes = (
+        _parse(header[key], kind, f"field {key!r}", path) for key, kind in _RANGED_FIELDS
+    )
+    _check_ranges(path, b, m, modes, nodes)
     return BranchFile(
         schema_version=version,
-        b=_parse(header["b"], float, "field 'b'", path),
-        m=_parse(header["m"], int, "field 'm'", path),
+        b=b,
+        m=m,
         origin=header["origin"],
         omega_step=_parse(header["omega_step"], float, "field 'omega_step'", path),
-        modes=_parse(header["modes"], int, "field 'modes'", path),
-        nodes=_parse(header["nodes"], int, "field 'nodes'", path),
+        modes=modes,
+        nodes=nodes,
         rows=rows,
         terminated_at=terminated_at,
     )

@@ -1,17 +1,22 @@
-"""The names the benchmark harness looks up in vstates still exist.
+"""The names the benchmark harness looks up in vstates still exist, and
+importing vstates stays cheap.
 
 `perfbench/spans.py` wraps each function in its `LAYERS` table, found by
 name, and `perfbench/run.py` records `vstates.kernels.active_backend()`.
 Deleting one of them breaks `perfbench/run.py --trace 1`, so it fails here.
+`perfbench/run.py` also counts the import of vstates in `setup_s`.
 """
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.fixture(scope="module")
@@ -34,3 +39,14 @@ def test_active_backend_exists():
     from vstates import kernels
 
     assert isinstance(kernels.active_backend(), str)
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    """scipy.optimize costs about 0.25 s to import, the whole `setup_s`
+    bound; run in a fresh interpreter, since pytest's may hold it already."""
+    code = "import sys, vstates; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -118,6 +118,22 @@ def test_solve_nonconverged_exits_numerical(tmp_path, capsys):
     assert not load_state(out_path).converged  # file still written
 
 
+def test_solve_tol_bounds(tmp_path, capsys):
+    """A loose tol still converges from the cold start; a non-finite one
+    is a usage error."""
+    out_path = tmp_path / "loose.json"
+    argv = ("solve", "--b", "0.63", "--m", "4", "--omega", "0.152",
+            "--seed-a1", "0.06", "--nodes", "256", "--out", str(out_path))
+    code, _, _ = run(capsys, *argv, "--tol", "1e-2")
+    assert code == EXIT_OK
+    assert load_state(out_path).converged
+    out_path.unlink()
+    code, _, err = run(capsys, *argv, "--tol", "inf")
+    assert code == EXIT_USAGE
+    assert "tol must be positive and finite" in err
+    assert not out_path.exists()
+
+
 def test_solve_seed_file_warm_start(tmp_path, capsys):
     first = tmp_path / "cold.json"
     code, _, _ = run(
@@ -318,8 +334,8 @@ def test_render_unreadable_input(tmp_path, capsys):
 
 
 def test_render_rejects_invalid_values(tmp_path, capsys):
-    """A null scalar used to end in a traceback and a null coefficient in
-    an SVG full of nan with exit 0."""
+    """A null scalar used to end in a traceback, and a null coefficient or
+    an out-of-range b, m, nodes or modes in an SVG written with exit 0."""
     state_path = tmp_path / "state.json"
     code, _, _ = run(
         capsys,
@@ -330,7 +346,13 @@ def test_render_rejects_invalid_values(tmp_path, capsys):
     assert code == EXIT_OK
     doc = json.loads(state_path.read_text())
     nulled_coefficient = dict(doc, a1=[None] + doc["a1"][1:])
-    for broken in (dict(doc, b=None), nulled_coefficient):
+    out_of_range = (
+        dict(doc, m=0),
+        dict(doc, b=3.0),
+        dict(doc, nodes=0),
+        dict(doc, modes=0, a1=[], a2=[]),
+    )
+    for broken in (dict(doc, b=None), nulled_coefficient, *out_of_range):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(broken))
         svg_path = tmp_path / "bad.svg"

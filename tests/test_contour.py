@@ -1,5 +1,7 @@
 """Contour representation: coefficients, sampling, symmetry, distance."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -95,14 +97,22 @@ def test_sampling_guards():
         sample(coeffs, 66)  # not a multiple of the fold
     with pytest.raises(ValueError):
         sample(coeffs, 64)  # below the alias-free bound 2*4*8 + 1
-    # inner radius driven negative
-    bad = perturbed_annulus(0.1, 4, 1, a2_1=-0.2)
-    with pytest.raises(InvalidContour):
-        sample(bad, 128)
-    # boundaries crossing
-    crossing = perturbed_annulus(0.9, 4, 1, a1_1=-0.08, a2_1=0.08)
-    with pytest.raises(InvalidContour):
-        sample(crossing, 128)
+    for shape, message in (
+        (  # inner radius driven negative
+            perturbed_annulus(0.1, 4, 1, a2_1=-0.2),
+            "inner radius must stay positive; rho_2(0.000000) = -1.000000e-01",
+        ),
+        (  # outer radius driven negative
+            perturbed_annulus(0.1, 4, 1, a1_1=-1.2),
+            "outer radius must stay positive; rho_1(0.000000) = -2.000000e-01",
+        ),
+        (  # boundaries crossing
+            perturbed_annulus(0.9, 4, 1, a1_1=-0.08, a2_1=0.08),
+            "boundaries must not cross; (rho_1 - rho_2)(0.000000) = -6.000000e-02",
+        ),
+    ):
+        with pytest.raises(InvalidContour, match=f"^{re.escape(message)}$"):
+            sample(shape, 128)
 
 
 def test_fold_symmetry(rng):

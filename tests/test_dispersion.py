@@ -86,6 +86,7 @@ def test_near_critical_radius_no_cancellation():
 
 def test_critical_radius_reference_values():
     assert abs(critical_radius(3) - 0.5) < 1e-12
+    assert critical_radius(3) == 0.5  # f_3(1/2) = 0 exactly in doubles
     assert abs(critical_radius(4) - math.sqrt(math.sqrt(2.0) - 1.0)) < 1e-12
     radii = [critical_radius(m) for m in range(3, 101)]
     assert all(lo < hi for lo, hi in zip(radii, radii[1:]))
@@ -94,13 +95,18 @@ def test_critical_radius_reference_values():
 
 
 def test_critical_radius_is_feasibility_root():
-    for m in (3, 4, 7, 20, 60):
+    for m in range(3, 101):
         bm = critical_radius(m)
         assert abs(feasibility(m, bm)) < 1e-12
         assert feasibility(m, bm - 1e-6) < 0
         assert feasibility(m, min(bm + 1e-6, 1 - 1e-12)) > 0
         oracle = brentq(lambda b: feasibility(m, b), 1e-12, 1 - 1e-12, xtol=1e-15)
         assert abs(bm - oracle) < 1e-13
+        # within 4 ulps of the sign change of f_m in doubles
+        below, above = bm, bm
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+        assert feasibility(m, below) < 0 < feasibility(m, above), m
 
 
 def test_low_folds_never_bifurcate():

@@ -25,8 +25,9 @@ from oracles import full_grid_assemble
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(modes=0, nodes=64)
-    with pytest.raises(ValueError):
-        SolverConfig(modes=4, nodes=64, tol=-1e-12)
+    for tol in (-1e-12, float("inf")):
+        with pytest.raises(ValueError):
+            SolverConfig(modes=4, nodes=64, tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(modes=4, nodes=64, max_iter=0)
 
@@ -147,6 +148,18 @@ def test_cold_start_predicts_the_branch_amplitude():
     state = np.abs([report.coeffs.a1[0], report.coeffs.a2[0]])
     assert np.abs(guess - state).max() < 1e-2 * np.linalg.norm(state)
     assert report.iterations <= 3
+
+
+def test_loose_tol_keeps_the_cold_start():
+    """The branch curvature is internal: its solve must not stop on the
+    caller's tol, which at 1e-2 the predictor itself passes (c = 0)."""
+    seed = perturbed_annulus(0.63, 4, 15, a1_1=0.06)
+    loose = SolverConfig(modes=15, nodes=128, tol=1e-2)
+    predicted = _cold_start(seed, 0.152, loose)
+    default = _cold_start(seed, 0.152, SolverConfig(modes=15, nodes=128))
+    assert np.array_equal(predicted.as_vector(), default.as_vector())
+    report = newton_solve(0.63, 0.152, 4, seed, loose)
+    assert report.converged and not report.trivial
 
 
 def test_cold_start_keeps_seeds_it_cannot_place():

@@ -105,6 +105,11 @@ def test_state_file_validation(tmp_path, reference_state):
         ("converged", None),
         ("a1", "entry"),
         ("a2", "entry"),
+        ("b", 3.0),
+        ("b", 0.0),
+        ("m", 0),
+        ("modes", 0),
+        ("nodes", 0),
     ],
 )
 def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, value):
@@ -195,9 +200,11 @@ def test_branch_rejects_malformed_rows(tmp_path):
     with pytest.raises(ValueError, match="missing field 'b'"):
         load_branch(path)
 
-    def document(b="0.6", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true"):
+    def document(
+        b="0.6", m="4", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true"
+    ):
         return (
-            f"# format: vstate-branch\n# schema_version: 1\n# b: {b}\n# m: 4\n"
+            f"# format: vstate-branch\n# schema_version: 1\n# b: {b}\n# m: {m}\n"
             f"# origin: omega_plus\n# omega_step: {omega_step}\n# modes: 31\n"
             f"# nodes: 512\nomega,distance,iterations,a1_1,a2_1,converged\n{row}\n"
         )
@@ -214,6 +221,9 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(b="nan"), "field 'b'"),
         (dict(omega_step="inf"), "field 'omega_step'"),
         (dict(omega_step="fast"), "field 'omega_step'"),
+        (dict(b="3"), "field 'b'"),
+        (dict(m="0"), "field 'm'"),
+        (dict(row="0.19,0.3,7,0.05,-0.04,maybe"), "column 'converged'"),
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
