@@ -35,8 +35,8 @@ from .dispersion import (
     frequency_matrix,
     kernel_vector,
 )
-from .quadrature import kernel_integral, vstate_residual_pointwise
-from .residual import DiscreteResidual, assemble, jacobian
+from .kernels import kernel_integral
+from .residual import DiscreteResidual, assemble, jacobian, vstate_residual_pointwise
 from .solver import (
     GeometryBreakdown,
     SingularJacobian,

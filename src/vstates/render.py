@@ -15,15 +15,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .contour import _basis
 from .state_io import StateFile
 
 __all__ = ["render_svg", "save_svg"]
 
 
 def _radius_samples(state: StateFile, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    theta = 2.0 * np.pi * np.arange(samples) / samples
-    k = state.m * np.arange(1, state.modes + 1)
-    basis = np.cos(np.outer(theta, k))
+    basis = _basis(samples, state.m, state.modes)[0]
     return 1.0 + basis @ state.a1, state.b + basis @ state.a2
 
 

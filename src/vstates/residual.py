@@ -1,4 +1,12 @@
-"""Spectral residual of the rotating-patch equations.
+"""Residual of the rotating-patch equations, its projection and its Jacobian.
+
+A V-state rotating at angular velocity omega is characterized by the
+vanishing of
+
+    r_j(theta) = Re[(2 omega conj(z_j) + I_1(z_j) - I_2(z_j)) dz_j/dtheta]
+
+on both boundaries j = 1, 2, with I_1 - I_2 the boundary integrals of
+`kernels` (outer minus inner source, both counterclockwise).
 
 The pointwise residual of a shape with the built-in symmetries is an
 odd function of theta with period 2 pi / m, so its discrete expansion
@@ -15,7 +23,9 @@ sector, where it reduces to a length-N/m transform: frequency m k on
 the full grid is frequency k on the sector grid.  `assemble` also sums
 over the sector's sources only, so each of its four kernel tables is
 (N/m) x (N/m), and so is each of the two tables per boundary pair of
-`jacobian`.
+`jacobian`.  `vstate_residual_pointwise` makes no use of the symmetry
+and sums over all N nodes, which keeps it an independent full-grid
+check.
 """
 
 from __future__ import annotations
@@ -24,10 +34,53 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contour import FloatArray, VortexContourCoeffs, _basis, sample
-from .quadrature import residual_sector
+from . import kernels
+from .contour import FloatArray, SampledContour, VortexContourCoeffs, _basis, sample
 
-__all__ = ["DiscreteResidual", "assemble", "jacobian"]
+__all__ = [
+    "DiscreteResidual", "assemble", "jacobian", "residual_sector", "vstate_residual_pointwise"
+]
+
+
+def residual_sector(
+    sc: SampledContour, omega: float, fold: int
+) -> tuple[FloatArray, FloatArray]:
+    """Pointwise rotation residual on the fundamental sector of an m-fold shape.
+
+    The contour must have the m-fold symmetry (m = fold, a divisor of
+    N) that `sample` builds in.  The targets are the leading N/m nodes
+    of each boundary, which determine the rest by symmetry, and the
+    sources are the same N/m nodes: each value is still the trapezoid
+    sum over all N nodes, with the m rotated copies of every sector
+    node summed in closed form.  With fold = 1 this is the plain sum on
+    the full grid.
+    """
+    if fold < 1 or sc.nodes % fold:
+        raise ValueError(f"fold must be a positive divisor of {sc.nodes}, got {fold}")
+    count = sc.nodes // fold
+    z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
+    # I_1 - I_2 at the sector nodes of either boundary
+    induced1 = kernels.kernel_sums(z1, z1, dz1, True, fold) - kernels.kernel_sums(
+        z1, z2, dz2, False, fold
+    )
+    induced2 = kernels.kernel_sums(z2, z1, dz1, False, fold) - kernels.kernel_sums(
+        z2, z2, dz2, True, fold
+    )
+    two_omega = 2.0 * omega
+    r1 = np.real((two_omega * np.conj(z1) + induced1) * dz1)
+    r2 = np.real((two_omega * np.conj(z2) + induced2) * dz2)
+    return r1, r2
+
+
+def vstate_residual_pointwise(
+    sc: SampledContour, omega: float
+) -> tuple[FloatArray, FloatArray]:
+    """Pointwise rotation residual at every node of both boundaries.
+
+    Returns (r1, r2); both vanish identically exactly when the sampled
+    shape is a discrete V-state at angular velocity omega.
+    """
+    return residual_sector(sc, omega, 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,6 +40,7 @@ _STATE_FIELDS = (
     "residual_max", "iterations", "converged",
 )
 _BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
+_ORIGINS = ("omega_minus", "omega_plus")  # the eigenvalue ends `sweep` starts from
 _BRANCH_COLUMNS = ("omega", "distance", "iterations", "a1_1", "a2_1", "converged")
 _ROW_KINDS = (float, float, int, float, float)  # the numeric columns, in order
 # The fields both loaders pass to _check_ranges, in its argument order
@@ -189,7 +190,10 @@ def save_state(path: str | Path, state: StateFile, timestamp: bool = True) -> No
 
 
 def load_state(path: str | Path) -> StateFile:
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:  # malformed JSON or undecodable bytes
+        raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
         raise ValueError(f"{path}: not a {STATE_FORMAT} document")
     version = raw.get("schema_version")
@@ -304,7 +308,11 @@ def load_branch(path: str | Path) -> BranchFile:
     rows: list[BranchRow] = []
     terminated_at = None
     saw_columns = False
-    for line in Path(path).read_text().splitlines():
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not a text document: {exc}") from None
+    for line in text.splitlines():
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -343,7 +351,7 @@ def load_branch(path: str | Path) -> BranchFile:
         )
     if header.get("format") != BRANCH_FORMAT:
         raise ValueError(f"{path}: not a {BRANCH_FORMAT} document")
-    version = int(header.get("schema_version", "-1"))
+    version = _parse(header.get("schema_version", "-1"), int, "field 'schema_version'", path)
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version}")
     _require(header, _BRANCH_FIELDS, path)
@@ -351,12 +359,19 @@ def load_branch(path: str | Path) -> BranchFile:
         _parse(header[key], kind, f"field {key!r}", path) for key, kind in _RANGED_FIELDS
     )
     _check_ranges(path, b, m, modes, nodes)
+    if header["origin"] not in _ORIGINS:
+        raise ValueError(
+            f"{path}: field 'origin' must be one of {_ORIGINS}, got {header['origin']!r}"
+        )
+    omega_step = _parse(header["omega_step"], float, "field 'omega_step'", path)
+    if omega_step == 0.0:
+        raise ValueError(f"{path}: field 'omega_step' must be nonzero")
     return BranchFile(
         schema_version=version,
         b=b,
         m=m,
         origin=header["origin"],
-        omega_step=_parse(header["omega_step"], float, "field 'omega_step'", path),
+        omega_step=omega_step,
         modes=modes,
         nodes=nodes,
         rows=rows,

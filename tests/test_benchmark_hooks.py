@@ -1,5 +1,5 @@
-"""The names the benchmark harness looks up in vstates still exist, and
-importing vstates stays cheap.
+"""The names the benchmark harness looks up in vstates still exist, every
+exported name resolves, and importing vstates stays cheap.
 
 `perfbench/spans.py` wraps each function in its `LAYERS` table, found by
 name, and `perfbench/run.py` records `vstates.kernels.active_backend()`.
@@ -9,6 +9,7 @@ Deleting one of them breaks `perfbench/run.py --trace 1`, so it fails here.
 
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,19 @@ def test_traced_layers_resolve(spans):
         module = importlib.import_module(home)
         for name in names:
             assert callable(getattr(module, name, None)), f"{layer}: {home}.{name}"
+
+
+def test_public_names_resolve():
+    """Every exported name resolves, in the package and in each module."""
+    import vstates
+
+    modules = [vstates] + [
+        importlib.import_module(f"vstates.{info.name}")
+        for info in pkgutil.iter_modules(vstates.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_active_backend_exists():

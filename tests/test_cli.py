@@ -9,6 +9,7 @@ import pytest
 
 from vstates import load_branch, load_state
 from vstates.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from vstates.validation import run_suite
 
 
 def run(capsys, *argv):
@@ -116,6 +117,19 @@ def test_solve_nonconverged_exits_numerical(tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert "did NOT converge" in out
     assert not load_state(out_path).converged  # file still written
+
+
+def test_solve_geometry_failure_exits_numerical(tmp_path, capsys):
+    out_path = tmp_path / "crossed.json"
+    code, _, err = run(
+        capsys,
+        "solve", "--b", "0.63", "--m", "4", "--omega", "0.05",
+        "--seed-a1", "0.3", "--seed-a2", "0.3", "--nodes", "128", "--modes", "15",
+        "--out", str(out_path),
+    )
+    assert code == EXIT_NUMERICAL
+    assert "solve failed: contour degenerated at iteration 4" in err
+    assert not out_path.exists()
 
 
 def test_solve_tol_bounds(tmp_path, capsys):
@@ -249,6 +263,22 @@ def test_sweep_single_point(tmp_path, capsys):
     assert len(load_branch(out_path).rows) == 1
 
 
+def test_sweep_reports_termination(tmp_path, capsys):
+    out_path = tmp_path / "end.csv"
+    code, out, _ = run(
+        capsys,
+        "sweep", "--b", "0.63", "--m", "4",
+        "--omega-start", "0.165", "--omega-end", "0.170",
+        "--omega-step", "0.001", "--nodes", "128", "--modes", "15",
+        "--out", str(out_path), "--no-timestamp",
+    )
+    assert code == EXIT_OK
+    assert "traced 3 states" in out
+    assert "branch terminated at omega = 0.16800000000000001" in out
+    assert out_path.read_text().endswith("\n0.16800000000000001,,,,,terminated\n")
+    assert len(load_branch(out_path).rows) == 3
+
+
 def test_sweep_outside_band_fails(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -331,6 +361,14 @@ def test_render_unreadable_input(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "cannot read state file" in err
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json\n")
+    code, _, err = run(
+        capsys, "render", str(not_json), "--out", str(tmp_path / "x.svg"),
+    )
+    assert code == EXIT_USAGE
+    assert "cannot read state file" in err and str(not_json) in err
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_render_rejects_invalid_values(tmp_path, capsys):
@@ -406,6 +444,8 @@ def test_validate_unknown_suite(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["validate", "--suite", "imaginary"])
     assert excinfo.value.code == EXIT_USAGE
+    with pytest.raises(ValueError, match="unknown suite 'imaginary'"):
+        run_suite("imaginary", 0.7, 4, 256)
 
 
 def test_version_flag(capsys):

@@ -47,6 +47,8 @@ def test_vector_roundtrip(rng):
     assert np.array_equal(back.a1, coeffs.a1)
     assert np.array_equal(back.a2, coeffs.a2)
     assert back.b == coeffs.b and back.fold == coeffs.fold
+    with pytest.raises(ValueError, match="expected vector of length 16"):
+        VortexContourCoeffs.from_vector(vec[:-1], b=coeffs.b, fold=coeffs.fold, modes=8)
 
     replaced = coeffs.replace_coefficients(2 * coeffs.a1, coeffs.a2)
     assert np.array_equal(replaced.a1, 2 * coeffs.a1)

@@ -77,8 +77,3 @@ def test_diagonal_rotated_copies_explicitly(rng):
             got = kernels.kernel_sums(z, z, dz, True, fold)[0]
             assert abs(got - explicit / (1j * fold)) < 1e-14
 
-
-def test_min_separation():
-    targets = np.array([0.0 + 0.0j, 3.0 + 4.0j])
-    source = np.array([1.0 + 0.0j, 3.0 + 3.0j])
-    assert abs(kernels.min_separation(targets, source) - 1.0) < 1e-15

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from vstates import perturbed_annulus, sample, kernel_integral, vstate_residual_pointwise
 from vstates.contour import BoundaryTrace
-from vstates.quadrature import residual_sector
+from vstates.residual import residual_sector
 
 from test_contour import random_coeffs
 
@@ -107,6 +107,8 @@ def test_on_curve_requires_aligned_targets():
         kernel_integral(sc.z1[:48], sc.outer, diagonal="on_curve")
     with pytest.raises(ValueError):
         kernel_integral(sc.z1, sc.outer, diagonal="sideways")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        kernel_integral(sc.z1[None, :], sc.outer, diagonal="on_curve")
 
 
 def test_off_curve_rejects_near_collisions():
@@ -114,7 +116,7 @@ def test_off_curve_rejects_near_collisions():
     with pytest.raises(ValueError):
         kernel_integral(sc.z1[:3], sc.outer, diagonal="off_curve")
     grazing = np.array([sc.z1[5] + 1e-11])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="target within 1.000e-11"):
         kernel_integral(grazing, sc.outer, diagonal="off_curve")
     fine = np.array([sc.z1[5] + 1e-9])
     kernel_integral(fine, sc.outer, diagonal="off_curve")  # must not raise

@@ -90,6 +90,10 @@ def test_state_file_validation(tmp_path, reference_state):
         with pytest.raises(ValueError):
             load_state(bad)
 
+    bad.write_text("not json\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a JSON document"):
+        load_state(bad)
+
 
 @pytest.mark.parametrize(
     "field, value",
@@ -160,6 +164,10 @@ def test_branch_roundtrip(tmp_path):
     path = tmp_path / "branch.csv"
     save_branch(path, bf, timestamp=False)
     loaded = load_branch(path)
+    stamped = tmp_path / "stamped.csv"
+    save_branch(stamped, bf, timestamp=True)
+    assert "# created: " in stamped.read_text()
+    assert load_branch(stamped) == loaded
     assert loaded.b == 0.63 and loaded.m == 4
     assert loaded.origin == "omega_minus"
     assert loaded.omega_step == 5e-4
@@ -199,13 +207,18 @@ def test_branch_rejects_malformed_rows(tmp_path):
     )
     with pytest.raises(ValueError, match="missing field 'b'"):
         load_branch(path)
+    path.write_bytes(b"\xff\xfe\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not a text document"):
+        load_branch(path)
 
     def document(
-        b="0.6", m="4", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true"
+        b="0.6", m="4", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true",
+        origin="omega_plus", schema_version="1", format_="vstate-branch",
     ):
         return (
-            f"# format: vstate-branch\n# schema_version: 1\n# b: {b}\n# m: {m}\n"
-            f"# origin: omega_plus\n# omega_step: {omega_step}\n# modes: 31\n"
+            f"# format: {format_}\n# schema_version: {schema_version}\n"
+            f"# b: {b}\n# m: {m}\n"
+            f"# origin: {origin}\n# omega_step: {omega_step}\n# modes: 31\n"
             f"# nodes: 512\nomega,distance,iterations,a1_1,a2_1,converged\n{row}\n"
         )
 
@@ -224,6 +237,12 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(b="3"), "field 'b'"),
         (dict(m="0"), "field 'm'"),
         (dict(row="0.19,0.3,7,0.05,-0.04,maybe"), "column 'converged'"),
+        (dict(row="0.19,0.3,7,0.05,true"), "malformed row"),
+        (dict(format_="vstate"), "not a vstate-branch document"),
+        (dict(schema_version="2"), "unsupported schema_version 2"),
+        (dict(schema_version="x"), "field 'schema_version'"),
+        (dict(origin="banana"), "field 'origin'"),
+        (dict(omega_step="0"), "field 'omega_step'"),
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
