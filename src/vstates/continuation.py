@@ -4,7 +4,7 @@ A branch of fold-m states is traced by marching omega over a uniform
 grid.  Every warm solve starts from the secant predictor, the linear
 extrapolation of the last two converged states to the new omega (the
 previous state alone after the first grid point), and runs chord Newton
-(see `solver`): the LU factors of the last Jacobian carry over from one
+(see `solver`): the inverse of the last Jacobian carries over from one
 warm solve to the next.  The first grid point has no predecessor, so
 it is attempted from a ladder of single-mode annulus perturbations;
 which mode the ladder displaces follows the sweep direction, matching the
@@ -17,7 +17,7 @@ only the sign of a ladder seed matters.
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
 contour counts as such a failure.  A failed attempt drops the carried
-factors, so the next one forms a fresh Jacobian.  A failed grid point
+inverse, so the next one forms a fresh Jacobian.  A failed grid point
 is retried through a midpoint bridge solve, and, while the branch is
 still within ladder reach of the annulus, from the cold-start ladder
 (near a bifurcation point the branch amplitude grows like the square
@@ -143,6 +143,10 @@ def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
         grid = np.append(grid, end)
     else:
         grid[-1] = end
+    # A step below the spacing of doubles near omega repeats grid points,
+    # which no BranchFile may hold (`state_io.load_branch`).
+    if np.any(np.diff(grid) * step <= 0.0):
+        raise ValueError(f"omega_step {step} is too small to move omega from {start}")
     return grid
 
 
@@ -170,7 +174,7 @@ def _attempt(
 ) -> SolveReport | None:
     """One guarded solve; None for any outcome that is not a usable state.
 
-    A failed attempt drops the chord factors, so the next one starts
+    A failed attempt drops the chord inverse, so the next one starts
     from a fresh Jacobian.
     """
     try:
@@ -179,7 +183,7 @@ def _attempt(
         report = None
     if report is None or not report.converged or report.trivial:
         if chord is not None:
-            chord.lu = None
+            chord.inverse = None
         return None
     return report
 
@@ -218,8 +222,8 @@ def sweep(
     Raises
     ------
     ValueError
-        When the omega grid is not finite or does not march toward
-        omega_end.
+        When the omega grid is not finite, does not march toward
+        omega_end or has a step too small to move omega.
     EmptyBranch
         When every ladder seed fails at omega_start.
     """

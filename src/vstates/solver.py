@@ -1,22 +1,22 @@
 """Newton iteration on the projected boundary equations.
 
 The Jacobian is the exact linearization of the projected residual
-(`residual.jacobian`); each linear step goes through a dense LU
-factorization with partial pivoting.  Convergence is measured on the
-largest pointwise residual over the quadrature nodes, not on the
-projected coefficients, so a converged report certifies the boundary
-equations themselves.
+(`residual.jacobian`); each Jacobian is inverted once (`np.linalg.inv`)
+and each linear step applies that inverse with a matrix-vector product.
+Convergence is measured on the largest pointwise residual over the
+quadrature nodes, not on the projected coefficients, so a converged
+report certifies the boundary equations themselves.
 
 Chord Newton: a solve given a `ChordFactors` (the warm solves of a
-branch sweep) reuses the LU factors of an earlier Jacobian, the ones it
-is handed or the ones it forms itself, and forms a fresh Jacobian only
-after a reused-factor step that fails to cut the largest pointwise
+branch sweep) reuses the inverse of an earlier Jacobian, the one it
+is handed or the one it forms itself, and forms a fresh Jacobian only
+after a reused-inverse step that fails to cut the largest pointwise
 residual by CHORD_CONTRACTION.  Chord steps converge linearly and so
 stop just under tol, where a Newton step lands far below it.  Near a
 bifurcation point that gap matters: at b = 0.63, omega = 0.1674 the
 smallest singular value of J is 6e-5, and a chord state was 3.7e-10
 from the solution where Newton's was 3.6e-11.  A converged chord solve
-therefore takes one more step with its factors and keeps it when it
+therefore takes one more step with its inverse and keeps it when it
 lowers the residual.  A solve given no ChordFactors forms a fresh
 Jacobian at every step.
 
@@ -51,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .contour import InvalidContour, VortexContourCoeffs, perturbed_annulus
 from .dispersion import eigenvalues_for_fold, kernel_vector
@@ -68,8 +67,10 @@ __all__ = [
     "normalize_signs",
 ]
 
-# LU pivots below this magnitude mean omega sits at (or numerically at)
-# a bifurcation eigenvalue or fold of the branch.
+# A guard value 1 / ||J^-1||_inf below this means omega sits at (or
+# numerically at) a bifurcation eigenvalue or fold of the branch.  The
+# guard lies within a factor sqrt(n) of the smallest singular value of
+# the n x n Jacobian, and costs a row sum of the inverse, not an SVD.
 MIN_PIVOT = 1e-14
 
 # Coefficients this small are the annulus up to solver noise; genuine
@@ -86,8 +87,8 @@ CURVATURE_AMPLITUDE = 1e-3
 # loose tol would pass the predictor itself and leave c = 0.
 CURVATURE_TOL = 1e-12
 
-# A chord solve keeps the LU factors of its last Jacobian while every
-# step on them cuts the largest pointwise residual by at least this
+# A chord solve keeps the inverse of its last Jacobian while every
+# step with it cuts the largest pointwise residual by at least this
 # factor, and forms a fresh Jacobian after one that does not.  On the
 # four acceptance sweeps 10 forms 9-34 % of the Jacobians of full Newton
 # and reaches tol within 10 warm steps per state; 5 to 8 form up to a
@@ -106,11 +107,12 @@ class GeometryBreakdown(RuntimeError):
 
 
 class SingularJacobian(RuntimeError):
-    """LU pivot below MIN_PIVOT; the linearization is rank deficient."""
+    """Guard value 1 / ||J^-1||_inf (pivot; 0.0 when inv fails, NaN when
+    J holds a NaN) below MIN_PIVOT: the linearization is rank deficient."""
 
     def __init__(self, pivot: float):
         super().__init__(
-            f"Jacobian numerically singular (pivot {pivot:.3e} < {MIN_PIVOT:.0e})"
+            f"Jacobian numerically singular (1/||J^-1||_inf {pivot:.3e} < {MIN_PIVOT:.0e})"
         )
         self.pivot = pivot
 
@@ -160,15 +162,16 @@ class SolveReport:
 
 @dataclass
 class ChordFactors:
-    """LU factors that chord Newton carries from one solve to the next.
+    """The inverse Jacobian that chord Newton carries from one solve to
+    the next.
 
-    lu holds the factors of an earlier Jacobian that the next step may
-    reuse, or None when that step must form a fresh one.  A solve given
-    a ChordFactors reads it at the start and leaves its own reusable
-    factors in it.
+    inverse holds the inverse of an earlier Jacobian that the next step
+    may reuse, or None when that step must form a fresh one.  A solve
+    given a ChordFactors reads it at the start and leaves its own
+    reusable inverse in it.
     """
 
-    lu: tuple[np.ndarray, np.ndarray] | None = None
+    inverse: np.ndarray | None = None
 
 
 def default_modes(fold: int, nodes: int) -> int:
@@ -199,16 +202,17 @@ def fd_jacobian(
     return jac
 
 
-def _lu_factor_checked(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    lu, piv = scipy.linalg.lu_factor(jac)
-    smallest = float(np.min(np.abs(np.diag(lu))))
-    if smallest < MIN_PIVOT:
-        raise SingularJacobian(smallest)
-    return lu, piv
-
-
-def _lu_solve_checked(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return scipy.linalg.lu_solve(_lu_factor_checked(jac), rhs)
+def _inverse_checked(jac: np.ndarray) -> np.ndarray:
+    """Inverse of jac; SingularJacobian when 1 / ||jac^-1||_inf, the
+    guard value, is below MIN_PIVOT or is NaN."""
+    try:
+        inverse = np.linalg.inv(jac)
+    except np.linalg.LinAlgError:
+        raise SingularJacobian(0.0) from None
+    bound = 1.0 / float(np.abs(inverse).sum(axis=1).max())
+    if not bound >= MIN_PIVOT:
+        raise SingularJacobian(bound)
+    return inverse
 
 
 def normalize_signs(coeffs: VortexContourCoeffs) -> VortexContourCoeffs:
@@ -263,7 +267,7 @@ def _branch_curvature(
         bordered[:-1, -1] = residual(shape, omega + 1.0) - base
         bordered[-1, [0, keep]] = direction
         rhs = np.append(base, direction @ x[[0, modes]] - amplitude)
-        step = _lu_solve_checked(bordered, rhs)
+        step = _inverse_checked(bordered) @ rhs
         x[unknowns] -= step[:-1]
         omega -= step[-1]
     return (omega - omega0) / amplitude**2
@@ -323,8 +327,9 @@ def newton_solve(
     config : SolverConfig
         Discretization and iteration parameters.
     chord : ChordFactors, optional
-        Chord Newton (module docstring): start from chord.lu when it
-        holds factors and leave the reusable factors there at the end.
+        Chord Newton (module docstring): start from chord.inverse when
+        it holds an inverse and leave the reusable inverse there at the
+        end.
         Without it every step forms a fresh Jacobian.
 
     Returns
@@ -340,7 +345,8 @@ def newton_solve(
     GeometryBreakdown
         If an update leaves the space of valid shapes.
     SingularJacobian
-        If the linear solve meets a pivot below MIN_PIVOT.
+        If a Jacobian's guard value 1 / ||J^-1||_inf falls below
+        MIN_PIVOT.
     """
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
@@ -358,10 +364,10 @@ def newton_solve(
     history = [residual.max_abs]
     iterations = 0
     trivial = False
-    lu = None if chord is None else chord.lu
+    inverse = None if chord is None else chord.inverse
 
-    def update(factors):
-        x = current.as_vector() - scipy.linalg.lu_solve(factors, residual.as_vector())
+    def update():
+        x = current.as_vector() - inverse @ residual.as_vector()
         updated = VortexContourCoeffs.from_vector(x, b, m, config.modes)
         return updated, assemble(updated, omega, config.nodes)
 
@@ -376,24 +382,24 @@ def newton_solve(
                     trivial=False,
                     residual_history=history,
                 )
-            fresh = lu is None
+            fresh = inverse is None
             if fresh:
-                lu = _lu_factor_checked(jacobian(current, omega, config.nodes))
+                inverse = _inverse_checked(jacobian(current, omega, config.nodes))
             iterations += 1
             try:
-                current, residual = update(lu)
+                current, residual = update()
             except InvalidContour as exc:
                 raise GeometryBreakdown(iterations, str(exc)) from exc
             if chord is None or (
                 not fresh and residual.max_abs * CHORD_CONTRACTION > history[-1]
             ):
-                lu = None
+                inverse = None
             history.append(residual.max_abs)
-        if lu is not None and iterations < config.max_iter:
+        if inverse is not None and iterations < config.max_iter:
             # Polish: chord steps converge linearly and stop just under
             # tol, where a full Newton step lands far below it.
             try:
-                polished, polished_residual = update(lu)
+                polished, polished_residual = update()
             except InvalidContour:
                 polished_residual = residual
             if polished_residual.max_abs < residual.max_abs:
@@ -406,13 +412,13 @@ def newton_solve(
             break
         # Re-verify the certificate on the normalized representative; if
         # rounding nudged it back over tol the outer loop polishes it.
-        # The factors belong to the other representative.
+        # The inverse belongs to the other representative.
         current = normalized
-        lu = None
+        inverse = None
         residual = assemble(current, omega, config.nodes)
         history.append(residual.max_abs)
     if chord is not None:
-        chord.lu = lu
+        chord.inverse = inverse
     return SolveReport(
         coeffs=current,
         iterations=iterations,

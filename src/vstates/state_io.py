@@ -40,7 +40,6 @@ _STATE_FIELDS = (
     "residual_max", "iterations", "converged",
 )
 _BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
-_ORIGINS = ("omega_minus", "omega_plus")  # the eigenvalue ends `sweep` starts from
 _BRANCH_COLUMNS = ("omega", "distance", "iterations", "a1_1", "a2_1", "converged")
 _ROW_KINDS = (float, float, int, float, float)  # the numeric columns, in order
 # The fields both loaders pass to _check_ranges, in its argument order
@@ -304,8 +303,13 @@ def save_branch(path: str | Path, bf: BranchFile, timestamp: bool = True) -> Non
 
 
 def load_branch(path: str | Path) -> BranchFile:
+    """Read a BranchFile that `sweep` could have produced: the origin
+    matches the sign of omega_step, every row (the terminated marker
+    included) moves omega strictly in that direction, and nothing
+    follows the marker.  ValueError names the file and field or row."""
     header: dict[str, str] = {}
     rows: list[BranchRow] = []
+    omegas: list[tuple[float, str]] = []  # (omega, line) of each row
     terminated_at = None
     saw_columns = False
     try:
@@ -324,12 +328,15 @@ def load_branch(path: str | Path) -> BranchFile:
                 raise ValueError(f"{path}: unexpected column row {line!r}")
             saw_columns = True
             continue
+        if terminated_at is not None:
+            raise ValueError(f"{path}: row {line!r} follows the terminated marker")
         fields = line.split(",")
         if len(fields) != 6:
             raise ValueError(f"{path}: malformed row {line!r}")
         where = f"row {line!r} column"
         if fields[5] == "terminated":
             terminated_at = _parse(fields[0], float, f"{where} 'omega'", path)
+            omegas.append((terminated_at, line))
             continue
         omega, distance, iterations, a1_1, a2_1 = (
             _parse(text, kind, f"{where} {name!r}", path)
@@ -339,6 +346,7 @@ def load_branch(path: str | Path) -> BranchFile:
             raise ValueError(
                 f"{path}: {where} 'converged' is not true or false: {fields[5]!r}"
             )
+        omegas.append((omega, line))
         rows.append(
             BranchRow(
                 omega=omega,
@@ -359,18 +367,27 @@ def load_branch(path: str | Path) -> BranchFile:
         _parse(header[key], kind, f"field {key!r}", path) for key, kind in _RANGED_FIELDS
     )
     _check_ranges(path, b, m, modes, nodes)
-    if header["origin"] not in _ORIGINS:
-        raise ValueError(
-            f"{path}: field 'origin' must be one of {_ORIGINS}, got {header['origin']!r}"
-        )
     omega_step = _parse(header["omega_step"], float, "field 'omega_step'", path)
     if omega_step == 0.0:
         raise ValueError(f"{path}: field 'omega_step' must be nonzero")
+    # the eigenvalue end `sweep` starts from, inferred as it does
+    origin = "omega_plus" if omega_step < 0.0 else "omega_minus"
+    if header["origin"] != origin:
+        raise ValueError(
+            f"{path}: field 'origin' must be {origin!r} for omega_step "
+            f"{omega_step!r}, got {header['origin']!r}"
+        )
+    for (before, _), (omega, line) in zip(omegas, omegas[1:]):
+        if not (omega - before) * omega_step > 0.0:
+            raise ValueError(
+                f"{path}: row {line!r} does not move omega past {before!r} "
+                f"in the direction of omega_step {omega_step!r}"
+            )
     return BranchFile(
         schema_version=version,
         b=b,
         m=m,
-        origin=header["origin"],
+        origin=origin,
         omega_step=omega_step,
         modes=modes,
         nodes=nodes,

@@ -1,5 +1,5 @@
 """The names the benchmark harness looks up in vstates still exist, every
-exported name resolves, and importing vstates stays cheap.
+exported name resolves, and importing vstates stays cheap and loads no scipy.
 
 `perfbench/spans.py` wraps each function in its `LAYERS` table, found by
 name, and `perfbench/run.py` records `vstates.kernels.active_backend()`.
@@ -64,3 +64,18 @@ def test_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    """The runtime is numpy-only: importing vstates and its CLI in a
+    fresh interpreter loads no scipy module at all (scipy is a test
+    dependency, the oracle of a few checks)."""
+    code = (
+        "import sys, vstates, vstates.cli; "
+        "print(sorted(n for n in sys.modules if n.split('.')[0] == 'scipy'))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -42,6 +42,14 @@ def test_omega_grid_rejects_bad_steps():
         continuation._omega_grid(0.2, 0.1, 0.01)
 
 
+def test_omega_grid_rejects_steps_below_rounding():
+    """A step under the spacing of doubles near omega would repeat grid
+    points, and so write a BranchFile that load_branch rejects."""
+    with pytest.raises(ValueError, match="too small to move omega"):
+        continuation._omega_grid(0.15, 0.15 + 1e-16, 1e-17)
+    assert len(continuation._omega_grid(0.15, 0.15 + 1e-15, 1e-16)) > 1
+
+
 def test_sweep_rejects_non_finite_omegas():
     grids = {
         "omega_start": (float("nan"), 0.16, 0.001),
@@ -116,7 +124,7 @@ def test_attempt_after_a_failure_starts_fresh(monkeypatch):
     solve = continuation.newton_solve
 
     def recorded(b, omega, m, seed, config, chord=None):
-        carried = chord is not None and chord.lu is not None
+        carried = chord is not None and chord.inverse is not None
         try:
             report = solve(b, omega, m, seed, config, chord)
         except Exception:

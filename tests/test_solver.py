@@ -1,6 +1,6 @@
 """Newton iteration: convergence, failure surfaces, normalization."""
 
-import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,10 +13,12 @@ from vstates import (
     default_modes,
     eigenvalues_for_fold,
     fd_jacobian,
+    load_state,
     newton_solve,
     perturbed_annulus,
 )
-from vstates.solver import _cold_start, _lu_solve_checked, normalize_signs
+from vstates.residual import jacobian
+from vstates.solver import MIN_PIVOT, _cold_start, _inverse_checked, normalize_signs
 
 from conftest import REFERENCE_B, REFERENCE_CONFIG, REFERENCE_M, REFERENCE_OMEGA
 from oracles import full_grid_assemble
@@ -200,17 +202,59 @@ def test_geometry_breakdown_surfaces_iteration_index():
 
 def test_singular_jacobian_guard():
     exact = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # scipy flags the zero pivot itself
-        with pytest.raises(SingularJacobian) as excinfo:
-            _lu_solve_checked(exact, np.ones(2))
+    with pytest.raises(SingularJacobian) as excinfo:
+        _inverse_checked(exact)
     assert excinfo.value.pivot <= 1e-14
     nearly = np.array([[1.0, 0.0], [0.0, 1e-15]])
     with pytest.raises(SingularJacobian):
-        _lu_solve_checked(nearly, np.ones(2))
+        _inverse_checked(nearly)
     fine = np.array([[1.0, 0.0], [0.0, 1e-13]])
-    x = _lu_solve_checked(fine, np.array([1.0, 1e-13]))
+    x = _inverse_checked(fine) @ np.array([1.0, 1e-13])
     assert np.allclose(x, [1.0, 1.0])
+
+
+def test_singular_jacobian_guard_rejects_nan():
+    jac = np.eye(4)
+    jac[1, 2] = np.nan
+    with pytest.raises(SingularJacobian):
+        _inverse_checked(jac)
+
+
+BRANCH_END_SEED = Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
+
+
+def _branch_end_jacobian() -> np.ndarray:
+    """Exact Jacobian (126 x 126) at the m = 4 state of the branch-end workload."""
+    state = load_state(BRANCH_END_SEED)
+    return jacobian(state.coefficients(), state.omega, state.nodes)
+
+
+def test_guard_brackets_smallest_singular_value(rng):
+    """The guard 1 / ||J^-1||_inf lies in [s / sqrt(n), sqrt(n) s], s the
+    smallest singular value (the SVD is the oracle): every J scaled to
+    s = MIN_PIVOT / (2 sqrt(n)) raises with its guard value in that
+    interval, and every J scaled to s = 2 sqrt(n) MIN_PIVOT passes."""
+    graded = rng.standard_normal((40, 40)) @ np.diag(np.logspace(0, -10, 40))
+    matrices = [rng.standard_normal((n, n)) for n in (2, 10, 62, 126)]
+    for jac in matrices + [graded, _branch_end_jacobian()]:
+        n = len(jac)
+        smallest = np.linalg.svd(jac, compute_uv=False).min()
+        scaled = MIN_PIVOT / (2.0 * np.sqrt(n))
+        with pytest.raises(SingularJacobian) as excinfo:
+            _inverse_checked(jac * (scaled / smallest))
+        assert scaled / np.sqrt(n) * (1 - 1e-9) <= excinfo.value.pivot
+        assert excinfo.value.pivot <= np.sqrt(n) * scaled * (1 + 1e-9)
+        _inverse_checked(jac * (2.0 * np.sqrt(n) * MIN_PIVOT / smallest))
+
+
+def test_inverse_solves_like_numpy(reference_state, rng):
+    """inverse @ rhs matches np.linalg.solve at n = 62 and n = 126."""
+    reference = jacobian(reference_state.coeffs, REFERENCE_OMEGA, REFERENCE_CONFIG.nodes)
+    for jac in (reference, _branch_end_jacobian()):
+        rhs = rng.standard_normal(len(jac))
+        expected = np.linalg.solve(jac, rhs)
+        error = np.linalg.norm(_inverse_checked(jac) @ rhs - expected)
+        assert error <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_normalize_signs_parity_rule():
@@ -264,8 +308,9 @@ def test_jacobian_nearly_singular_at_quoted_eigenvalue():
 def test_solve_at_exact_eigenvalue_still_finishes():
     """The Jacobian is singular on the annulus there, but the seed lies
     off it: Newton creeps toward the bifurcation point and meets the
-    tolerance while the LU pivots are still far above the hard floor
-    (about 3e-6 at the last step), so it finishes instead of raising."""
+    tolerance while the guard 1 / ||J^-1||_inf is still far above the
+    hard floor (about 3e-11 at the last step, against MIN_PIVOT = 1e-14),
+    so it finishes instead of raising."""
     point = eigenvalues_for_fold(4, 0.63)
     config = SolverConfig(modes=15, nodes=128)
     report = newton_solve(

@@ -247,3 +247,44 @@ def test_branch_rejects_malformed_rows(tmp_path):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
             load_branch(path)
+
+
+def _descending_branch(tmp_path, rows, origin="omega_plus"):
+    """A BranchFile of a descending sweep (omega_step -5e-4) with the given rows."""
+    path = tmp_path / "branch.csv"
+    path.write_text(
+        "# format: vstate-branch\n# schema_version: 1\n# b: 0.6\n# m: 4\n"
+        f"# origin: {origin}\n# omega_step: -0.0005\n# modes: 31\n# nodes: 512\n"
+        "omega,distance,iterations,a1_1,a2_1,converged\n" + "\n".join(rows) + "\n"
+    )
+    return path
+
+
+def test_branch_rejects_origin_against_step(tmp_path):
+    """sweep starts a descending march at omega_plus, never at omega_minus."""
+    rows = ["0.19,0.3,7,0.05,-0.04,true"]
+    assert load_branch(_descending_branch(tmp_path, rows)).origin == "omega_plus"
+    path = _descending_branch(tmp_path, rows, origin="omega_minus")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: field 'origin'"):
+        load_branch(path)
+
+
+def test_branch_rejects_rows_against_step(tmp_path):
+    """Row omegas, the terminated marker's included, fall strictly with
+    a negative omega_step."""
+    first = "0.19,0.3,7,0.05,-0.04,true"
+    good = [first, "0.1895,0.29,5,0.06,-0.05,true", "0.189,,,,,terminated"]
+    assert len(load_branch(_descending_branch(tmp_path, good)).rows) == 2
+    for bad in ("0.19,0.29,5,0.06,-0.05,true", "0.1905,0.29,5,0.06,-0.05,true", "0.19,,,,,terminated"):
+        path = _descending_branch(tmp_path, [first, bad])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: row {re.escape(repr(bad))}"):
+            load_branch(path)
+
+
+def test_branch_rejects_rows_after_terminated_marker(tmp_path):
+    rows = ["0.19,0.3,7,0.05,-0.04,true", "0.1895,,,,,terminated", "0.189,0.29,5,0.06,-0.05,true"]
+    path = _descending_branch(tmp_path, rows)
+    with pytest.raises(
+        ValueError, match=f"^{re.escape(str(path))}: row {re.escape(repr(rows[2]))} follows the terminated marker"
+    ):
+        load_branch(path)
