@@ -137,10 +137,12 @@ class SampledContour:
     """Both boundaries sampled on the uniform angular grid.
 
     z_j[i] = exp(i theta_i) rho_j(theta_i) with theta_i = 2 pi i / N, and
-    dz_j[i] the analytic derivative d z_j / d theta at the node.
+    dz_j[i] the analytic derivative d z_j / d theta at the node.  fold is
+    the m of the sampled shape, a divisor of N.
     """
 
     nodes: int
+    fold: int
     z1: ComplexArray
     z2: ComplexArray
     dz1: ComplexArray
@@ -221,7 +223,7 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     z2 = unit * rho2
     dz1 = unit * (1j * rho1 + drho1)
     dz2 = unit * (1j * rho2 + drho2)
-    return SampledContour(nodes=nodes, z1=z1, z2=z2, dz1=dz1, dz2=dz2)
+    return SampledContour(nodes=nodes, fold=m, z1=z1, z2=z2, dz1=dz1, dz2=dz2)
 
 
 def boundary_distance(sc: SampledContour) -> float:
@@ -229,6 +231,10 @@ def boundary_distance(sc: SampledContour) -> float:
 
     The discrete minimum over all N x N node pairs; it overestimates the
     distance between the curves by O(grid spacing squared) when the
-    closest approach falls between nodes.
+    closest approach falls between nodes.  The rotations by 2 pi / m and
+    the reflection about the real axis map each boundary's nodes onto
+    themselves, so the outer nodes on 0 <= theta <= pi / m, the leading
+    N/(2m) + 1, against all N inner nodes reach the same minimum.
     """
-    return float(np.min(np.abs(sc.z1[:, None] - sc.z2[None, :])))
+    half = sc.nodes // (2 * sc.fold) + 1
+    return float(np.min(np.abs(sc.z1[:half, None] - sc.z2[None, :])))

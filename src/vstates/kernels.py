@@ -13,7 +13,9 @@ node replaced by that limit, and converges spectrally.
 `kernel_sums` does almost all of the work of every residual evaluation.
 A boundary with m-fold symmetry is given by one sector of its nodes:
 the m rotated copies of each sector node are summed in closed form, so
-each call forms one targets x (N/m) table instead of targets x N.
+each call forms one targets x (N/m) table instead of targets x N.  The
+residual's targets are the half sector, N/(2m) + 1 nodes, so each of
+its tables is (N/(2m) + 1) x (N/m).
 `kernel_integral` makes no use of the symmetry and sums over all N
 nodes of a sampled boundary, which keeps it an independent full-grid
 check.

@@ -20,12 +20,15 @@ annulus maps to zero for every (b, omega): the trivial branch.
 
 By symmetry the projection only needs the residual on the fundamental
 sector, where it reduces to a length-N/m transform: frequency m k on
-the full grid is frequency k on the sector grid.  `assemble` also sums
-over the sector's sources only, so each of its four kernel tables is
-(N/m) x (N/m), and so is each of the two tables per boundary pair of
-`jacobian`.  `vstate_residual_pointwise` makes no use of the symmetry
-and sums over all N nodes, which keeps it an independent full-grid
-check.
+the full grid is frequency k on the sector grid.  Being odd, the
+residual on the sector is fixed by its values on the half sector
+0 <= theta <= pi / m, the leading N/(2m) + 1 nodes, and the rest of the
+sector is their odd extension.  `assemble` evaluates those targets
+against the sector's N/m sources only, so each of its four kernel
+tables is (N/(2m) + 1) x (N/m), and so is each of the two tables per
+boundary pair of `jacobian`.  `vstate_residual_pointwise` makes no use
+of either symmetry and evaluates all N nodes against all N sources,
+which keeps it an independent full-grid check.
 """
 
 from __future__ import annotations
@@ -42,34 +45,47 @@ __all__ = [
 ]
 
 
+def _pointwise(
+    sc: SampledContour, omega: float, fold: int, targets: int
+) -> tuple[FloatArray, FloatArray]:
+    """Rotation residual at the leading `targets` nodes of each boundary.
+
+    The sources are the leading N/m nodes of each boundary (m = fold),
+    with the m rotated copies of every node summed in closed form, so
+    each value is the trapezoid sum over all N nodes.
+    """
+    count = sc.nodes // fold
+    z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
+    t1, t2 = z1[:targets], z2[:targets]
+    # I_1 - I_2 at the targets on either boundary
+    induced1 = kernels.kernel_sums(t1, z1, dz1, True, fold) - kernels.kernel_sums(
+        t1, z2, dz2, False, fold
+    )
+    induced2 = kernels.kernel_sums(t2, z1, dz1, False, fold) - kernels.kernel_sums(
+        t2, z2, dz2, True, fold
+    )
+    two_omega = 2.0 * omega
+    r1 = np.real((two_omega * np.conj(t1) + induced1) * dz1[:targets])
+    r2 = np.real((two_omega * np.conj(t2) + induced2) * dz2[:targets])
+    return r1, r2
+
+
 def residual_sector(
     sc: SampledContour, omega: float, fold: int
 ) -> tuple[FloatArray, FloatArray]:
-    """Pointwise rotation residual on the fundamental sector of an m-fold shape.
+    """Pointwise rotation residual on the half sector of an m-fold shape.
 
-    The contour must have the m-fold symmetry (m = fold, a divisor of
-    N) that `sample` builds in.  The targets are the leading N/m nodes
-    of each boundary, which determine the rest by symmetry, and the
-    sources are the same N/m nodes: each value is still the trapezoid
-    sum over all N nodes, with the m rotated copies of every sector
-    node summed in closed form.  With fold = 1 this is the plain sum on
-    the full grid.
+    The contour must have the m-fold and reflection symmetries (m =
+    fold, a divisor of N) that `sample` builds in.  The targets are the
+    leading N/(2m) + 1 nodes of each boundary, 0 <= theta <= pi / m,
+    which determine the rest by symmetry: the residual is odd in theta
+    with period 2 pi / m.  The sources are the leading N/m nodes, and
+    each value is still the trapezoid sum over all N nodes, with the m
+    rotated copies of every sector node summed in closed form.
     """
     if fold < 1 or sc.nodes % fold:
         raise ValueError(f"fold must be a positive divisor of {sc.nodes}, got {fold}")
-    count = sc.nodes // fold
-    z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
-    # I_1 - I_2 at the sector nodes of either boundary
-    induced1 = kernels.kernel_sums(z1, z1, dz1, True, fold) - kernels.kernel_sums(
-        z1, z2, dz2, False, fold
-    )
-    induced2 = kernels.kernel_sums(z2, z1, dz1, False, fold) - kernels.kernel_sums(
-        z2, z2, dz2, True, fold
-    )
-    two_omega = 2.0 * omega
-    r1 = np.real((two_omega * np.conj(z1) + induced1) * dz1)
-    r2 = np.real((two_omega * np.conj(z2) + induced2) * dz2)
-    return r1, r2
+    return _pointwise(sc, omega, fold, sc.nodes // (2 * fold) + 1)
 
 
 def vstate_residual_pointwise(
@@ -80,7 +96,7 @@ def vstate_residual_pointwise(
     Returns (r1, r2); both vanish identically exactly when the sampled
     shape is a discrete V-state at angular velocity omega.
     """
-    return residual_sector(sc, omega, 1)
+    return _pointwise(sc, omega, 1, sc.nodes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,6 +115,11 @@ class DiscreteResidual:
         return np.concatenate([self.b1, self.b2])
 
 
+def _odd_extension(values: FloatArray, count: int) -> FloatArray:
+    """An odd function on all `count` sector nodes from its half sector (axis 0)."""
+    return np.concatenate([values, -values[count - len(values) : 0 : -1]])
+
+
 def _sine_coefficients(values: FloatArray, modes: int) -> FloatArray:
     """First `modes` sine coefficients of samples over one period (axis 0)."""
     n = len(values)
@@ -109,9 +130,10 @@ def _sine_coefficients(values: FloatArray, modes: int) -> FloatArray:
 def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteResidual:
     """Projected residual of a shape at angular velocity omega.
 
-    The residual is evaluated on the fundamental sector, the leading N/m
-    nodes of each boundary (all N for m = 1), and projected with a
-    length-N/m transform.
+    The residual is evaluated on the half sector, the leading
+    N/(2m) + 1 nodes of each boundary, extended to the fundamental
+    sector (the leading N/m nodes) as an odd function, and projected
+    with a length-N/m transform.
 
     Parameters
     ----------
@@ -130,9 +152,10 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
     """
     r1, r2 = residual_sector(sample(coeffs, nodes), omega, coeffs.fold)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
+    count = nodes // coeffs.fold
     return DiscreteResidual(
-        b1=_sine_coefficients(r1, coeffs.modes),
-        b2=_sine_coefficients(r2, coeffs.modes),
+        b1=_sine_coefficients(_odd_extension(r1, count), coeffs.modes),
+        b2=_sine_coefficients(_odd_extension(r2, count), coeffs.modes),
         max_abs=max_abs,
     )
 
@@ -149,11 +172,13 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         conj(delta d) zeta'_k / d - delta d conj(d) zeta'_k / d^2
             + delta zeta'_k conj(d) / d,   delta d = delta zeta_k - delta z.
 
-    As in `assemble`, the targets z and the sources zeta are the leading
-    N/m nodes of each boundary.  The rotated copy u zeta (u^m = 1) of a
-    sector source carries u zeta', u delta zeta and u delta zeta', so
-    its m copies sum to combinations of S_p = sum_u u^p / (u zeta - z)
-    and T_p = dS_p / dz.  With F = m / (zeta^m - z^m),
+    As in `assemble`, the targets z are the leading N/(2m) + 1 nodes of
+    each boundary, whose rows are extended to the sector as odd
+    functions, and the sources zeta are the leading N/m nodes.  The
+    rotated copy u zeta (u^m = 1) of a sector source carries u zeta',
+    u delta zeta and u delta zeta', so its m copies sum to combinations
+    of S_p = sum_u u^p / (u zeta - z) and T_p = dS_p / dz.  With
+    F = m / (zeta^m - z^m),
 
         source motion:  zeta' S_0 conj(delta zeta) - zeta' (conj(zeta) T_1
             - conj(z) T_2) delta zeta + (conj(zeta) S_0 - conj(z) S_1) delta zeta',
@@ -166,8 +191,9 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     (At m = 1 the closed form of S_2 is off by the constant 1 / zeta,
     which T_2 does not see.)  Every (targets x sector) table is then a
     row and column scaling of F or F^2: per boundary pair one F and one
-    F^2 table, each times 2M + 2 weight columns, give the source motion,
-    the kernel itself and the target-motion sums over the sources.
+    F^2 table, each (N/(2m) + 1) x (N/m) and times 2M + 2 weight
+    columns, give the source motion, the kernel itself and the
+    target-motion sums over the sources.
 
     On a boundary itself F is zeroed at the node under the target, and
     its m copies are added back: the removable limit conj(z') of the
@@ -182,23 +208,25 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     sc = sample(coeffs, nodes)
     fold, modes = coeffs.fold, coeffs.modes
     count = nodes // fold
+    half = count // 2 + 1
     cos, sin, unit = _basis(nodes, fold, modes)
     # delta z and delta z' per unit a_{p,l} at the sector nodes of either boundary
     shift = unit[:count, None] * cos[:count]
     tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
-    diag = np.arange(count)
+    target_shift, target_tilt = shift[:half], tilt[:half]
+    diag = np.arange(half)
     z = (sc.z1[:count], sc.z2[:count])
     dz = (sc.dz1[:count], sc.dz2[:count])
     blocks = (slice(0, modes), slice(modes, 2 * modes))
     jac = np.empty((2 * modes, 2 * modes))
     for t in range(2):
-        target, target_dz = z[t], dz[t]
+        target, target_dz = z[t][:half], dz[t][:half]
         target_pow = target ** (fold - 1)
         target_conj = np.conj(target)
         # I_t and i N dI_t / da, summed over the sources with sign +1 (outer)
         # and -1 (inner)
-        induced = np.zeros(count, dtype=np.complex128)
-        d_induced = np.zeros((count, 2 * modes), dtype=np.complex128)
+        induced = np.zeros(half, dtype=np.complex128)
+        d_induced = np.zeros((half, 2 * modes), dtype=np.complex128)
         for s, sign in ((0, 1.0), (1, -1.0)):
             source, source_dz = z[s], dz[s]
             source_pow = source ** (fold - 1)
@@ -238,22 +266,23 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
             if s == t:
                 ratio = target_dz / target
                 kernel += np.conj(target_dz) - (fold - 1) * target_conj * ratio
-                d_source += np.conj(tilt) - (fold - 1) * (
-                    np.conj(shift) * ratio[:, None]
-                    + (target_conj / target)[:, None] * (tilt - ratio[:, None] * shift)
+                d_source += np.conj(target_tilt) - (fold - 1) * (
+                    np.conj(target_shift) * ratio[:, None]
+                    + (target_conj / target)[:, None]
+                    * (target_tilt - ratio[:, None] * target_shift)
                 )
             induced += sign * kernel
             d_induced[:, blocks[s]] += sign * d_source
             d_induced[:, blocks[t]] += sign * (
-                shift * sum_q[:, None] - np.conj(shift) * sum_p[:, None]
+                target_shift * sum_q[:, None] - np.conj(target_shift) * sum_p[:, None]
             )
         scale = 1.0 / (1j * nodes)
         induced *= scale
         d_induced *= scale
         d_res = np.real(d_induced * target_dz[:, None])
         d_res[:, blocks[t]] += np.real(
-            2.0 * omega * np.conj(shift) * target_dz[:, None]
-            + (2.0 * omega * target_conj + induced)[:, None] * tilt
+            2.0 * omega * np.conj(target_shift) * target_dz[:, None]
+            + (2.0 * omega * target_conj + induced)[:, None] * target_tilt
         )
-        jac[blocks[t]] = _sine_coefficients(d_res, modes)
+        jac[blocks[t]] = _sine_coefficients(_odd_extension(d_res, count), modes)
     return jac

@@ -4,8 +4,9 @@ The Jacobian is the exact linearization of the projected residual
 (`residual.jacobian`); each Jacobian is inverted once (`np.linalg.inv`)
 and each linear step applies that inverse with a matrix-vector product.
 Convergence is measured on the largest pointwise residual over the
-quadrature nodes, not on the projected coefficients, so a converged
-report certifies the boundary equations themselves.
+half-sector nodes, which determine those at the other quadrature nodes
+by symmetry, not on the projected coefficients, so a converged report
+certifies the boundary equations themselves.
 
 Chord Newton: a solve given a `ChordFactors` (the warm solves of a
 branch sweep) reuses the inverse of an earlier Jacobian, the one it

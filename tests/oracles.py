@@ -1,12 +1,16 @@
 """Cross-check oracles that only the tests read.
 
-`vstates.assemble` evaluates the residual on the fundamental sector and
-projects it with a length-N/m transform.  The functions here evaluate it
-on all N nodes and project it with the length-N transform instead, which
-is the same sine projection computed without using the m-fold symmetry.
+`vstates.assemble` evaluates the residual on half of the fundamental
+sector, extends it to the sector as an odd function and projects it
+with a length-N/m transform.  The functions here evaluate it on all N
+nodes and project it with the length-N transform instead, which is the
+same sine projection computed without using either symmetry.
 `full_source_jacobian` differentiates `assemble` with every source
 node summed on its own, where `vstates.jacobian` sums the m rotated
-copies of each sector source in closed form.
+copies of each sector source in closed form; its targets are the whole
+sector, where `vstates.jacobian` evaluates half of it.
+`all_pairs_distance` is `vstates.boundary_distance` without the
+symmetry.
 """
 
 import numpy as np
@@ -61,8 +65,8 @@ def full_source_jacobian(coeffs, omega, nodes):
     with delta d = delta zeta_k - delta z_i.  Moving the sources gives
     three (targets x N) by (N x M) products, moving the targets gives row
     sums of P and Q, and the diagonal limit conj(zeta'_i) of a boundary
-    on itself changes by conj(delta zeta'_i).  The targets are those of
-    `assemble`: the leading N/m nodes of each boundary.
+    on itself changes by conj(delta zeta'_i).  The targets are the
+    leading N/m nodes of each boundary, the whole fundamental sector.
     """
     sc = sample(coeffs, nodes)
     modes = coeffs.modes
@@ -123,3 +127,8 @@ def full_source_jacobian(coeffs, omega, nodes):
         )
         jac[blocks[t]] = _sine_coefficients(d_res, modes)
     return jac
+
+
+def all_pairs_distance(sc) -> float:
+    """`boundary_distance(sc)` as the minimum over all N x N node pairs."""
+    return float(np.min(np.abs(sc.z1[:, None] - sc.z2[None, :])))

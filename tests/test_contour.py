@@ -12,6 +12,7 @@ from vstates import (
     perturbed_annulus,
     sample,
 )
+from oracles import all_pairs_distance
 
 
 def random_coeffs(rng, b=0.6, fold=4, modes=8, scale=0.04):
@@ -172,3 +173,12 @@ def test_boundary_distance_single_bump():
     # inner boundary bulges outward at theta = 0, where both grids have a node
     sc = sample(perturbed_annulus(0.6, 4, 1, a2_1=0.05), 128)
     assert abs(boundary_distance(sc) - (1 - 0.6 - 0.05)) < 1e-14
+
+
+def test_boundary_distance_on_half_sector_matches_all_pairs(rng):
+    """Folds 1-12, with N/m odd and even: the half sector reaches the minimum."""
+    for fold in range(1, 13):
+        coeffs = random_coeffs(rng, b=rng.uniform(0.3, 0.7), fold=fold, modes=6, scale=0.05)
+        sc = sample(coeffs, fold * (32 + fold))
+        assert sc.fold == fold
+        assert abs(boundary_distance(sc) - all_pairs_distance(sc)) < 1e-15

@@ -47,7 +47,7 @@ def test_fold_reduced_path_matches_full_transform(rng):
 
 
 def test_assemble_sums_over_sector_sources(monkeypatch):
-    """Every kernel sum of an m = 12 assemble is (N/m) x (N/m) pairs."""
+    """Every kernel sum of an m = 12 assemble is (N/(2m) + 1) x (N/m) pairs."""
     nodes, fold = 768, 12
     sector = nodes // fold
     shapes = []
@@ -59,7 +59,7 @@ def test_assemble_sums_over_sector_sources(monkeypatch):
 
     monkeypatch.setattr(vstates.kernels, "kernel_sums", recording)
     assemble(perturbed_annulus(0.85, fold, 31, a1_1=0.06), 0.09011, nodes)
-    assert shapes == [(sector, sector)] * 4  # 4 (N/m)^2 pairs, not 4 N^2/m
+    assert shapes == [(sector // 2 + 1, sector)] * 4  # half-sector targets
 
 
 def test_reconstruction_consistency(rng):
@@ -202,6 +202,19 @@ def test_fold_reduced_jacobian_matches_full_source(rng, fold_12_state):
     for coeffs, omega, nodes in cases:
         reduced = jacobian(coeffs, omega, nodes)
         full = full_source_jacobian(coeffs, omega, nodes)
+        assert np.abs(reduced - full).max() < 1e-12 * np.abs(full).max()
+
+
+def test_half_sector_with_odd_sector_count(rng):
+    """With N/m odd no node sits at theta = pi / m; the odd extension still holds."""
+    for fold, nodes in ((1, 65), (3, 123), (5, 165)):
+        coeffs = random_coeffs(rng, fold=fold, modes=6, scale=0.05)
+        fast = assemble(coeffs, 0.21, nodes)
+        slow = full_grid_assemble(coeffs, 0.21, nodes)
+        assert np.abs(fast.as_vector() - slow.as_vector()).max() < 1e-13
+        assert abs(fast.max_abs - slow.max_abs) < 1e-13
+        reduced = jacobian(coeffs, 0.21, nodes)
+        full = full_source_jacobian(coeffs, 0.21, nodes)
         assert np.abs(reduced - full).max() < 1e-12 * np.abs(full).max()
 
 
