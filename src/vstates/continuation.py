@@ -1,15 +1,20 @@
 """Branch continuation in the angular velocity.
 
 A branch of fold-m states is traced by marching omega over a uniform
-grid.  Every warm solve starts from the secant predictor, the linear
-extrapolation of the last two converged states to the new omega (the
-previous state alone after the first grid point), and runs chord Newton
-(see `solver`): the inverse of the last Jacobian carries over from one
-warm solve to the next.  The first grid point has no predecessor, so
-it is attempted from a ladder of single-mode annulus perturbations;
-which mode the ladder displaces follows the sweep direction, matching the
-null-direction structure at the two eigenvalues (outer-dominant near
-omega_plus, inner-dominant near omega_minus).  `newton_solve` treats
+grid.  Every warm solve starts from the secant predictor and runs chord
+Newton (see `solver`): the inverse of the last Jacobian carries over
+from one warm solve to the next.  The predictor extrapolates the last
+two converged states linearly in omega.  Next to a bifurcation point
+omega0, omega is even in the branch amplitude, so the amplitude grows
+like the square root of omega - omega0; while the sweep moves away from
+omega0 near the annulus, the predictor extrapolates linearly in that
+square root instead, and joins a lone first state to the annulus.
+
+The first grid point has no predecessor, so it is attempted from a
+ladder of single-mode annulus perturbations; which mode the ladder
+displaces follows the sweep direction, matching the null-direction
+structure at the two eigenvalues (outer-dominant near omega_plus,
+inner-dominant near omega_minus).  `newton_solve` treats
 these first-mode seeds as cold starts and replaces them by the
 bifurcation predictor wherever a branch reaches the grid point; there
 only the sign of a ladder seed matters.
@@ -19,13 +24,11 @@ annulus, or break the geometry; a predicted seed that is not a valid
 contour counts as such a failure.  A failed attempt drops the carried
 inverse, so the next one forms a fresh Jacobian.  A failed grid point
 is retried through a midpoint bridge solve, and, while the branch is
-still within ladder reach of the annulus, from the cold-start ladder
-(near a bifurcation point the branch amplitude grows like the square
-root of the omega offset, so a coarse first step can outrun the warm
-seed and fall back onto the annulus).  The bridge seeds from the
-secant too, and the grid point after it from the secant through the
-previous state and the bridge state.  An unrecoverable grid point is
-recorded in ``terminated_at`` and the sweep stops.
+still within ladder reach of the annulus, from the cold-start ladder.
+The bridge seeds from the secant too, and the grid point after it from
+the secant through the previous state and the bridge state.  An
+unrecoverable grid point is recorded in ``terminated_at`` and the sweep
+stops.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .contour import (
     perturbed_annulus,
     sample,
 )
+from .dispersion import eigenvalues_for_fold
 from .solver import (
     ChordFactors,
     GeometryBreakdown,
@@ -150,17 +154,62 @@ def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
     return grid
 
 
+def _root_offsets(
+    known: Sequence[tuple[float, VortexContourCoeffs]], omega: float
+) -> tuple[float, float] | None:
+    """Square-root coordinates (s of the earlier known point, s at omega)
+    when the seed at omega follows the bifurcation law, else None.
+
+    s = sqrt((w - omega0) / (omega1 - omega0)) is 0 at the eigenvalue
+    omega0 nearer the last known omega1 and 1 at omega1; a lone state is
+    joined to the annulus at s = 0.  The law holds while the last state
+    is within ladder reach of the annulus and omega moves away from
+    omega0 past omega1, with the earlier point on the same side.  Toward
+    omega0 the square-root seed shrinks fast while the carried chord
+    inverse goes stale, and such solves fail, so the omega secant stays.
+    """
+    omega1, last = known[-1]
+    if last.fold < 3 or not _near_annulus(last):
+        return None
+    point = eigenvalues_for_fold(last.fold, last.b)
+    if not point.feasible:
+        return None
+    if abs(omega1 - point.omega_minus) <= abs(omega1 - point.omega_plus):
+        omega0 = point.omega_minus
+    else:
+        omega0 = point.omega_plus
+    reach = omega1 - omega0
+    if reach == 0.0 or (omega - omega1) * reach <= 0.0:
+        return None
+    before = (known[-2][0] - omega0) / reach if len(known) > 1 else 0.0
+    if not 0.0 <= before < 1.0:
+        return None
+    return np.sqrt(before), np.sqrt((omega - omega0) / reach)
+
+
 def _secant(
     known: Sequence[tuple[float, VortexContourCoeffs]], omega: float
 ) -> VortexContourCoeffs:
-    """Warm seed at omega, extrapolated linearly through the last two
-    (omega, state) pairs; the last state itself when it is the only one."""
+    """Warm seed at omega from the last two (omega, state) pairs.
+
+    Next to a bifurcation point (`_root_offsets`) the seed is
+    extrapolated linearly in s, the square root of the omega offset,
+    which gives s times the state for a lone one.  Elsewhere it is
+    extrapolated linearly in omega, or is the last state itself when
+    that is the only one.
+    """
     omega1, last = known[-1]
-    if len(known) < 2:
-        return last
-    omega0, before = known[-2]
     x1 = last.as_vector()
-    x = x1 + (omega - omega1) / (omega1 - omega0) * (x1 - before.as_vector())
+    roots = _root_offsets(known, omega)
+    if roots is not None:
+        s0, s = roots
+        x0 = known[-2][1].as_vector() if len(known) > 1 else 0.0
+        x = x1 + (s - 1.0) / (1.0 - s0) * (x1 - x0)
+    elif len(known) < 2:
+        return last
+    else:
+        omega0, before = known[-2]
+        x = x1 + (omega - omega1) / (omega1 - omega0) * (x1 - before.as_vector())
     return VortexContourCoeffs.from_vector(x, last.b, last.fold, last.modes)
 
 
@@ -261,12 +310,11 @@ def sweep(
                 report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
         if report is None and _near_annulus(previous.report.coeffs):
             # Warm seed collapsed onto the annulus; the cold ladder
-            # still works near the bifurcation points, where branch
-            # amplitude grows like sqrt of the omega offset and can
-            # outrun a coarse first step.  On a developed branch a
-            # failed solve means the branch is ending, and re-seeding
-            # from the annulus would risk hopping onto a different
-            # family, so the rescue is limited to small amplitudes.
+            # still works near the bifurcation points.  On a developed
+            # branch a failed solve means the branch is ending, and
+            # re-seeding from the annulus would risk hopping onto a
+            # different family, so the rescue is limited to small
+            # amplitudes.
             for seed in seed_ladder:
                 report = _attempt(b, m, omega, seed, config)
                 if report is not None:

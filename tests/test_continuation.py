@@ -1,5 +1,7 @@
 """Branch tracing in omega: grids, warm starts, termination, rescue."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,26 @@ import vstates.continuation as continuation
 import vstates.solver as solver
 
 CONFIG = SolverConfig(modes=31, nodes=256)
+OMEGA_MINUS = eigenvalues_for_fold(4, 0.63).omega_minus
+OMEGA_PLUS = eigenvalues_for_fold(4, 0.63).omega_plus
+
+
+def _lone_state_secant(monkeypatch):
+    """Seed the grid point after a lone state with that state itself,
+    without the square-root law, so a coarse first step next to a
+    bifurcation point outruns the seed and falls back to the annulus."""
+    secant = continuation._secant
+
+    def predict(known, omega):
+        return known[-1][1] if len(known) < 2 else secant(known, omega)
+
+    monkeypatch.setattr(continuation, "_secant", predict)
+
+
+def _linear_in_omega(known, omega):
+    (omega0, before), (omega1, last) = known
+    x1 = last.as_vector()
+    return x1 + (omega - omega1) / (omega1 - omega0) * (x1 - before.as_vector())
 
 
 def test_omega_grid_includes_both_ends():
@@ -134,6 +156,7 @@ def test_attempt_after_a_failure_starts_fresh(monkeypatch):
         return report
 
     monkeypatch.setattr(continuation, "newton_solve", recorded)
+    _lone_state_secant(monkeypatch)
     # the warm solve at 0.1352 and its bridge both fall back to the annulus
     branch = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
     assert len(branch.records) == 2
@@ -194,9 +217,10 @@ def test_branch_sides_have_opposite_dominance():
 
 
 def test_coarse_first_step_recovers_via_cold_ladder(monkeypatch):
-    """A 10^-3 first step outruns the warm seed right at the bifurcation,
-    where amplitude grows like sqrt(omega - omega_minus).  The cold
-    ladder must recover; without it the sweep stops after one point."""
+    """A 10^-3 first step outruns a seed that ignores the square-root
+    growth of the amplitude right at the bifurcation.  The cold ladder
+    must recover; without it the sweep stops after one point."""
+    _lone_state_secant(monkeypatch)
     branch = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
     assert len(branch.records) == 2
     assert branch.terminated_at is None
@@ -205,6 +229,74 @@ def test_coarse_first_step_recovers_via_cold_ladder(monkeypatch):
     crippled = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
     assert len(crippled.records) == 1
     assert crippled.terminated_at == pytest.approx(0.1352)
+
+
+def test_secant_follows_the_square_root_law_next_to_the_annulus(monkeypatch):
+    """Moving away from omega_minus, the seed is linear in
+    s = sqrt((omega - omega_minus) / (omega1 - omega_minus)); toward it,
+    or away from the annulus, it is linear in omega, bit for bit."""
+    inner = perturbed_annulus(0.63, 4, 31, a1_1=-0.002, a2_1=-0.02)
+    outer = perturbed_annulus(0.63, 4, 31, a1_1=-0.003, a2_1=-0.028)
+    near, far, omega = OMEGA_MINUS + 5e-4, OMEGA_MINUS + 1e-3, OMEGA_MINUS + 2e-3
+
+    def root(w):
+        return np.sqrt((w - OMEGA_MINUS) / (far - OMEGA_MINUS))
+
+    lone = continuation._secant([(far, outer)], omega).as_vector()
+    assert np.abs(lone - root(omega) * outer.as_vector()).max() <= 1e-15
+
+    known = [(near, inner), (far, outer)]
+    x0, x1 = inner.as_vector(), outer.as_vector()
+    for w in (far + 2e-4, omega, OMEGA_MINUS + 4e-3):
+        seed = continuation._secant(known, w).as_vector()
+        expected = x1 + (root(w) - 1.0) / (1.0 - root(near)) * (x1 - x0)
+        assert np.abs(seed - expected).max() <= 1e-15
+
+    toward = [(far, outer), (near, inner)]
+    between = OMEGA_MINUS + 2.5e-4
+    seed = continuation._secant(toward, between).as_vector()
+    assert np.array_equal(seed, _linear_in_omega(toward, between))
+    assert continuation._secant(toward[1:], between) is inner
+
+    monkeypatch.setattr(continuation, "_near_annulus", lambda coeffs: False)
+    seed = continuation._secant(known, omega).as_vector()
+    assert np.array_equal(seed, _linear_in_omega(known, omega))
+
+
+def test_sweep_next_to_a_bifurcation_stays_on_the_branch(monkeypatch):
+    """With the square-root predictor, a coarse first step away from
+    either eigenvalue converges warm: no attempt falls back to the
+    annulus and the cold ladder runs only at the first grid point."""
+    calls = []
+    solve = continuation.newton_solve
+
+    def recorded(b, omega, m, seed, config, chord=None):
+        report = solve(b, omega, m, seed, config, chord)
+        calls.append((chord is None, report))
+        return report
+
+    monkeypatch.setattr(continuation, "newton_solve", recorded)
+    for start, end, step in ((0.1342, 0.1352, 1e-3), (0.1674, 0.1664, -1e-3)):
+        calls.clear()
+        branch = sweep(0.63, 4, start, end, step, CONFIG)
+        assert len(branch.records) == 2 and branch.terminated_at is None
+        assert len(calls) == 2
+        assert [cold for cold, _ in calls] == [True, False]
+        for _, report in calls:
+            assert report.converged and not report.trivial
+
+
+def test_sweep_starting_on_an_eigenvalue(monkeypatch):
+    """A sweep that starts exactly on an eigenvalue has no square-root
+    offset for its first state; the predictor falls back without a
+    division by zero and the sweep goes on."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ascending = sweep(0.63, 4, OMEGA_MINUS, OMEGA_MINUS + 2e-3, 1e-3, CONFIG)
+        descending = sweep(0.63, 4, OMEGA_PLUS, OMEGA_PLUS - 2e-3, -1e-3, CONFIG)
+    for branch in (ascending, descending):
+        assert len(branch.records) == 3
+        assert branch.terminated_at is None
 
 
 def test_distance_profile_and_minimum():
