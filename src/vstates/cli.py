@@ -54,6 +54,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
 def _solver_config(args) -> SolverConfig:
     nodes = args.nodes if args.nodes is not None else 128 * args.m
     modes = args.modes if args.modes is not None else default_modes(args.m, nodes)
+    if args.modes is None and modes < 1:
+        raise ValueError(f"--nodes {nodes} leaves the default truncation (N/m - 1) // 2 "
+                         f"at {modes} for m = {args.m}; use --nodes {3 * args.m} or more")
     return SolverConfig(
         modes=modes,
         nodes=nodes,

@@ -25,10 +25,11 @@ residual on the sector is fixed by its values on the half sector
 0 <= theta <= pi / m, the leading N/(2m) + 1 nodes, and the rest of the
 sector is their odd extension.  `assemble` evaluates those targets
 against the sector's N/m sources only, so each of its four kernel
-tables is (N/(2m) + 1) x (N/m), and so is each of the two tables per
-boundary pair of `jacobian`.  `vstate_residual_pointwise` makes no use
-of either symmetry and evaluates all N nodes against all N sources,
-which keeps it an independent full-grid check.
+tables is (N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both
+boundaries and forms two 2(N/(2m) + 1) x (N/m) tables per source.
+`vstate_residual_pointwise` makes no use of either symmetry and
+evaluates all N nodes against all N sources, which keeps it an
+independent full-grid check.
 """
 
 from __future__ import annotations
@@ -190,15 +191,15 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
 
     (At m = 1 the closed form of S_2 is off by the constant 1 / zeta,
     which T_2 does not see.)  Every (targets x sector) table is then a
-    row and column scaling of F or F^2: per boundary pair one F and one
-    F^2 table, each (N/(2m) + 1) x (N/m) and times 2M + 2 weight
-    columns, give the source motion, the kernel itself and the
-    target-motion sums over the sources.
+    row and column scaling of F or F^2.  The targets of both boundaries
+    are stacked into 2(N/(2m) + 1) rows, and per source boundary one F
+    and one F^2 table, times 2M + 2 weight columns, give the source
+    motion, the kernel and the target-motion sums at every target.
 
-    On a boundary itself F is zeroed at the node under the target, and
-    its m copies are added back: the removable limit conj(z') of the
-    node itself, and -conj(z) z' / z for each of the other m - 1, both
-    differentiated in z and z'.
+    On the source boundary's own rows F is zeroed at the node under
+    the target, and its m copies are added back: the removable limit
+    conj(z') of the node itself, and -conj(z) z' / z for each of the
+    other m - 1, both differentiated in z and z'.
 
     Raises
     ------
@@ -214,75 +215,77 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     shift = unit[:count, None] * cos[:count]
     tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
     target_shift, target_tilt = shift[:half], tilt[:half]
-    diag = np.arange(half)
     z = (sc.z1[:count], sc.z2[:count])
     dz = (sc.dz1[:count], sc.dz2[:count])
+    # The targets of both boundaries as one column: rows[t] of boundary t
+    rows = (slice(0, half), slice(half, 2 * half))
     blocks = (slice(0, modes), slice(modes, 2 * modes))
+    target = np.concatenate([z[0][:half], z[1][:half]])
+    target_dz = np.concatenate([dz[0][:half], dz[1][:half]])
+    target_pow = target ** (fold - 1)
+    target_m = target_pow * target
+    target_conj = np.conj(target)
+    diag = np.arange(half)
+    # I_t and i N dI_t / da at every target, summed over the sources with
+    # sign +1 (outer) and -1 (inner)
+    induced = np.zeros(2 * half, dtype=np.complex128)
+    d_induced = np.zeros((2 * half, 2 * modes), dtype=np.complex128)
+    for s, sign in ((0, 1.0), (1, -1.0)):
+        source, source_dz = z[s], dz[s]
+        source_pow = source ** (fold - 1)
+        table = np.subtract((source_pow * source)[None, :], target_m[:, None])
+        own = rows[s]  # the targets on the source boundary itself
+        table[diag + own.start, diag] = 1.0  # placeholder; the entry is zeroed below
+        np.divide(fold, table, out=table)
+        table[diag + own.start, diag] = 0.0
+        kernel_w = np.conj(source) * source_dz
+        pow_w = source_pow * source_dz
+        low_w = pow_w / source
+        lin = table @ np.column_stack([
+            source_dz[:, None] * np.conj(shift) + np.conj(source)[:, None] * tilt,
+            low_w[:, None] * shift - source_pow[:, None] * tilt,
+            kernel_w,
+            pow_w,
+        ])
+        sq = np.square(table, out=table) @ np.column_stack([
+            (kernel_w * source_pow)[:, None] * shift,
+            low_w[:, None] * shift,
+            kernel_w,
+            pow_w,
+        ])
+        kernel = target_pow * lin[:, -2] - target_conj * lin[:, -1]
+        sum_p = lin[:, -1]
+        sum_q = (fold - 1) * target_pow / target * lin[:, -2] + target_pow * (
+            target_pow * sq[:, -2] - target_conj * sq[:, -1]
+        )
+        d_source = target_pow[:, None] * (
+            lin[:, :modes] - sq[:, :modes]
+        ) + target_conj[:, None] * (
+            lin[:, modes:-2] + target_m[:, None] * sq[:, modes:-2]
+        )
+        ratio = target_dz[own] / target[own]
+        kernel[own] += np.conj(target_dz[own]) - (fold - 1) * target_conj[own] * ratio
+        d_source[own] += np.conj(target_tilt) - (fold - 1) * (
+            np.conj(target_shift) * ratio[:, None]
+            + (target_conj[own] / target[own])[:, None]
+            * (target_tilt - ratio[:, None] * target_shift)
+        )
+        induced += sign * kernel
+        d_induced[:, blocks[s]] += sign * d_source
+        p_rows, q_rows = sum_p.reshape(2, half, 1), sum_q.reshape(2, half, 1)
+        motion = target_shift * q_rows - np.conj(target_shift) * p_rows
+        for t in range(2):
+            d_induced[rows[t], blocks[t]] += sign * motion[t]
+    scale = 1.0 / (1j * nodes)
+    induced *= scale
+    d_induced *= scale
+    d_res = np.real(d_induced * target_dz[:, None])
     jac = np.empty((2 * modes, 2 * modes))
     for t in range(2):
-        target, target_dz = z[t][:half], dz[t][:half]
-        target_pow = target ** (fold - 1)
-        target_conj = np.conj(target)
-        # I_t and i N dI_t / da, summed over the sources with sign +1 (outer)
-        # and -1 (inner)
-        induced = np.zeros(half, dtype=np.complex128)
-        d_induced = np.zeros((half, 2 * modes), dtype=np.complex128)
-        for s, sign in ((0, 1.0), (1, -1.0)):
-            source, source_dz = z[s], dz[s]
-            source_pow = source ** (fold - 1)
-            table = np.subtract(
-                (source_pow * source)[None, :], (target_pow * target)[:, None]
-            )
-            if s == t:
-                table[diag, diag] = 1.0  # placeholder; the entry is zeroed below
-            np.divide(fold, table, out=table)
-            if s == t:
-                table[diag, diag] = 0.0
-            kernel_w = np.conj(source) * source_dz
-            pow_w = source_pow * source_dz
-            low_w = pow_w / source
-            lin = table @ np.column_stack([
-                source_dz[:, None] * np.conj(shift) + np.conj(source)[:, None] * tilt,
-                low_w[:, None] * shift - source_pow[:, None] * tilt,
-                kernel_w,
-                pow_w,
-            ])
-            sq = np.square(table, out=table) @ np.column_stack([
-                (kernel_w * source_pow)[:, None] * shift,
-                low_w[:, None] * shift,
-                kernel_w,
-                pow_w,
-            ])
-            kernel = target_pow * lin[:, -2] - target_conj * lin[:, -1]
-            sum_p = lin[:, -1]
-            sum_q = (fold - 1) * target_pow / target * lin[:, -2] + target_pow * (
-                target_pow * sq[:, -2] - target_conj * sq[:, -1]
-            )
-            d_source = target_pow[:, None] * (
-                lin[:, :modes] - sq[:, :modes]
-            ) + target_conj[:, None] * (
-                lin[:, modes:-2] + (target_pow * target)[:, None] * sq[:, modes:-2]
-            )
-            if s == t:
-                ratio = target_dz / target
-                kernel += np.conj(target_dz) - (fold - 1) * target_conj * ratio
-                d_source += np.conj(target_tilt) - (fold - 1) * (
-                    np.conj(target_shift) * ratio[:, None]
-                    + (target_conj / target)[:, None]
-                    * (target_tilt - ratio[:, None] * target_shift)
-                )
-            induced += sign * kernel
-            d_induced[:, blocks[s]] += sign * d_source
-            d_induced[:, blocks[t]] += sign * (
-                target_shift * sum_q[:, None] - np.conj(target_shift) * sum_p[:, None]
-            )
-        scale = 1.0 / (1j * nodes)
-        induced *= scale
-        d_induced *= scale
-        d_res = np.real(d_induced * target_dz[:, None])
-        d_res[:, blocks[t]] += np.real(
-            2.0 * omega * np.conj(target_shift) * target_dz[:, None]
-            + (2.0 * omega * target_conj + induced)[:, None] * target_tilt
+        own = rows[t]
+        d_res[own, blocks[t]] += np.real(
+            2.0 * omega * np.conj(target_shift) * target_dz[own, None]
+            + (2.0 * omega * target_conj[own] + induced[own])[:, None] * target_tilt
         )
-        jac[blocks[t]] = _sine_coefficients(_odd_extension(d_res, count), modes)
+        jac[blocks[t]] = _sine_coefficients(_odd_extension(d_res[own], count), modes)
     return jac

@@ -34,7 +34,8 @@ reaches omega.  e is the unit null direction `kernel_vector` in
 (omega is even in s: the rotation by pi/m maps s to -s), so
 s = sqrt((omega - omega_0) / c).  The curvature c comes from a bordered
 Newton solve, with omega free, of the equations truncated to the first
-two modes at a tiny amplitude.  Near the end of a branch omega(s)
+two modes at a tiny amplitude, on a two-mode shape whose Jacobian is
+4 x 4 whatever the solve's M.  Near the end of a branch omega(s)
 steepens, so the predicted s lands just beyond the state, where Newton
 converges; a first-mode seed of any other amplitude can start inside a
 region where the full step overshoots or falls back to the annulus.
@@ -237,39 +238,32 @@ def _branch_curvature(
 ) -> float:
     """Coefficient c of omega(s) = omega0 + c s^2 along the branch.
 
-    Solves the equations truncated to the first two modes, at first-mode
-    amplitude CURVATURE_AMPLITUDE along `direction` and with omega as an
-    extra unknown.  Two modes suffice: the second-mode response enters
-    the first-mode equation at third order, the third mode only at
-    fifth.  The residual is affine in omega, so its omega column is a
-    plain difference; the other columns are sliced from the exact
-    Jacobian.
+    Solves the equations truncated to the first two modes (the shape
+    carries min(2, M) modes on the solve's N nodes, so `assemble` and
+    `jacobian` return exactly the truncated residual and its 4 x 4
+    Jacobian), at first-mode amplitude CURVATURE_AMPLITUDE along
+    `direction` and with omega as an extra unknown.  Two modes suffice:
+    the second-mode response enters the first-mode equation at third
+    order, the third mode only at fifth.  The residual is affine in
+    omega, so the bordered system's omega column is a plain difference.
     """
-    modes = config.modes
-    keep = min(2, modes)
-    unknowns = np.r_[0:keep, modes : modes + keep]
+    keep = min(2, config.modes)
     amplitude = CURVATURE_AMPLITUDE
-    x = np.zeros(2 * modes)
-    x[[0, modes]] = amplitude * direction
+    x = np.zeros(2 * keep)
+    x[[0, keep]] = amplitude * direction
     omega = omega0
-
-    def residual(shape: VortexContourCoeffs, omega: float) -> np.ndarray:
-        return assemble(shape, omega, config.nodes).as_vector()[unknowns]
-
-    size = len(unknowns) + 1
     for _ in range(10):
-        shape = VortexContourCoeffs.from_vector(x, b, m, modes)
-        base = residual(shape, omega)
+        shape = VortexContourCoeffs.from_vector(x, b, m, keep)
+        base = assemble(shape, omega, config.nodes).as_vector()
         if np.abs(base).max() < CURVATURE_TOL * amplitude:
             break
-        bordered = np.zeros((size, size))
-        full = jacobian(shape, omega, config.nodes)
-        bordered[:-1, :-1] = full[np.ix_(unknowns, unknowns)]
-        bordered[:-1, -1] = residual(shape, omega + 1.0) - base
+        bordered = np.zeros((2 * keep + 1, 2 * keep + 1))
+        bordered[:-1, :-1] = jacobian(shape, omega, config.nodes)
+        bordered[:-1, -1] = assemble(shape, omega + 1.0, config.nodes).as_vector() - base
         bordered[-1, [0, keep]] = direction
-        rhs = np.append(base, direction @ x[[0, modes]] - amplitude)
+        rhs = np.append(base, direction @ x[[0, keep]] - amplitude)
         step = _inverse_checked(bordered) @ rhs
-        x[unknowns] -= step[:-1]
+        x -= step[:-1]
         omega -= step[-1]
     return (omega - omega0) / amplitude**2
 

@@ -9,15 +9,18 @@ same sine projection computed without using either symmetry.
 node summed on its own, where `vstates.jacobian` sums the m rotated
 copies of each sector source in closed form; its targets are the whole
 sector, where `vstates.jacobian` evaluates half of it.
+`full_block_curvature` is `solver._branch_curvature` with the two-mode
+equations read out of the full M-mode residual and Jacobian.
 `all_pairs_distance` is `vstates.boundary_distance` without the
 symmetry.
 """
 
 import numpy as np
 
-from vstates import sample, vstate_residual_pointwise
+from vstates import VortexContourCoeffs, assemble, sample, vstate_residual_pointwise
 from vstates.contour import _basis
-from vstates.residual import DiscreteResidual, _sine_coefficients
+from vstates.residual import DiscreteResidual, _sine_coefficients, jacobian
+from vstates.solver import CURVATURE_AMPLITUDE, CURVATURE_TOL, _inverse_checked
 
 
 def _full_grid(coeffs, omega, nodes):
@@ -127,6 +130,43 @@ def full_source_jacobian(coeffs, omega, nodes):
         )
         jac[blocks[t]] = _sine_coefficients(d_res, modes)
     return jac
+
+
+def full_block_curvature(b, m, omega0, direction, config) -> float:
+    """`_branch_curvature(b, m, omega0, direction, config)` on the full shape.
+
+    The same bordered Newton solve of the first two modes, but each
+    shape carries all M = config.modes modes (the others zero), and the
+    two-mode residual and 4 x 4 Jacobian are sliced out of the full
+    M-mode ones.
+    """
+    modes = config.modes
+    keep = min(2, modes)
+    unknowns = np.r_[0:keep, modes : modes + keep]
+    amplitude = CURVATURE_AMPLITUDE
+    x = np.zeros(2 * modes)
+    x[[0, modes]] = amplitude * direction
+    omega = omega0
+
+    def residual(shape, omega):
+        return assemble(shape, omega, config.nodes).as_vector()[unknowns]
+
+    size = len(unknowns) + 1
+    for _ in range(10):
+        shape = VortexContourCoeffs.from_vector(x, b, m, modes)
+        base = residual(shape, omega)
+        if np.abs(base).max() < CURVATURE_TOL * amplitude:
+            break
+        bordered = np.zeros((size, size))
+        full = jacobian(shape, omega, config.nodes)
+        bordered[:-1, :-1] = full[np.ix_(unknowns, unknowns)]
+        bordered[:-1, -1] = residual(shape, omega + 1.0) - base
+        bordered[-1, [0, keep]] = direction
+        rhs = np.append(base, direction @ x[[0, modes]] - amplitude)
+        step = _inverse_checked(bordered) @ rhs
+        x[unknowns] -= step[:-1]
+        omega -= step[-1]
+    return (omega - omega0) / amplitude**2
 
 
 def all_pairs_distance(sc) -> float:

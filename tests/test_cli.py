@@ -216,6 +216,26 @@ def test_solve_seed_file_unreadable(tmp_path, capsys):
         assert err.startswith("vstates: error:") and str(seed) in err
 
 
+def test_too_few_nodes_for_the_default_truncation(tmp_path, capsys):
+    """Without --modes, a grid with no room for one mode is a --nodes error."""
+    commands = [
+        ["solve", "--omega", "0.152"],
+        ["sweep", "--omega-start", "0.135", "--omega-end", "0.136",
+         "--omega-step", "0.0005"],
+    ]
+    for command in commands:
+        for nodes in ("0", "4", "8"):
+            out_path = tmp_path / "out"
+            code, _, err = run(
+                capsys, *command, "--b", "0.63", "--m", "4", "--nodes", nodes,
+                "--out", str(out_path),
+            )
+            assert code == EXIT_USAGE
+            assert err.startswith(f"vstates: error: --nodes {nodes} ")
+            assert "--nodes 12 or more" in err and "modes must be" not in err
+            assert not out_path.exists()
+
+
 def test_sweep_writes_branch(tmp_path, capsys):
     out_path = tmp_path / "branch.csv"
     code, out, _ = run(

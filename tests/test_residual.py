@@ -190,11 +190,18 @@ def test_fold_reduced_jacobian_matches_full_source(rng, fold_12_state):
     """Summing the m copies of each sector source in closed form changes nothing.
 
     Folds 1 and 2 reach zeta^(m-2) = 1 / zeta and 1, which no
-    acceptance sweep does.
+    acceptance sweep does.  One and two modes on the grids of the
+    reference solve and the m = 12 solves are the shapes whose
+    Jacobian the cold-start curvature solve forms.
     """
     cases = [
         (random_coeffs(rng, fold=fold, modes=6, scale=0.05), 0.21, 48 * fold)
         for fold in (1, 2, 3, 4, 12)
+    ]
+    cases += [
+        (random_coeffs(rng, fold=fold, modes=modes, scale=0.05), 0.21, 64 * fold)
+        for fold in (4, 12)
+        for modes in (1, 2)
     ]
     state = load_state(BRANCH_END_SEED)
     cases.append((state.coefficients(), state.omega, state.nodes))

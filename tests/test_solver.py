@@ -13,15 +13,22 @@ from vstates import (
     default_modes,
     eigenvalues_for_fold,
     fd_jacobian,
+    kernel_vector,
     load_state,
     newton_solve,
     perturbed_annulus,
 )
 from vstates.residual import jacobian
-from vstates.solver import MIN_PIVOT, _cold_start, _inverse_checked, normalize_signs
+from vstates.solver import (
+    MIN_PIVOT,
+    _branch_curvature,
+    _cold_start,
+    _inverse_checked,
+    normalize_signs,
+)
 
 from conftest import REFERENCE_B, REFERENCE_CONFIG, REFERENCE_M, REFERENCE_OMEGA
-from oracles import full_grid_assemble
+from oracles import full_block_curvature, full_grid_assemble
 
 
 def test_config_validation():
@@ -162,6 +169,49 @@ def test_loose_tol_keeps_the_cold_start():
     assert np.array_equal(predicted.as_vector(), default.as_vector())
     report = newton_solve(0.63, 0.152, 4, seed, loose)
     assert report.converged and not report.trivial
+
+
+@pytest.mark.parametrize(
+    "b, m, nodes, modes",
+    [
+        (0.63, 4, 256, 31),
+        (0.85, 12, 768, 31),
+        (0.63, 4, 512, 31),
+        (0.6, 4, 512, 63),
+        (0.63, 4, 128, 15),
+        (0.63, 4, 256, 1),
+    ],
+)
+def test_two_mode_curvature_matches_the_full_block(b, m, nodes, modes):
+    """The curvature solve on a two-mode shape (one mode at M = 1) gives
+    the curvature of the first modes of the full M-mode equations."""
+    config = SolverConfig(modes=modes, nodes=nodes)
+    point = eigenvalues_for_fold(m, b)
+    for omega0 in (point.omega_minus, point.omega_plus):
+        direction = np.array(kernel_vector(m - 1, 1.0 - 2.0 * omega0, b))
+        direction /= np.linalg.norm(direction)
+        curvature = _branch_curvature(b, m, omega0, direction, config)
+        full = full_block_curvature(b, m, omega0, direction, config)
+        assert abs(curvature - full) <= 1e-9 * abs(full)
+
+
+def test_cold_start_linearizes_two_modes(monkeypatch):
+    """The curvature solve of a cold start never assembles or linearizes
+    the solve's full M-mode shape."""
+    modes = []
+
+    def recording(function):
+        def wrapper(coeffs, omega, nodes):
+            modes.append(coeffs.modes)
+            return function(coeffs, omega, nodes)
+
+        return wrapper
+
+    monkeypatch.setattr("vstates.solver.assemble", recording(assemble))
+    monkeypatch.setattr("vstates.solver.jacobian", recording(jacobian))
+    seed = perturbed_annulus(0.63, 4, 31, a1_1=0.02)
+    _cold_start(seed, 0.152, SolverConfig(modes=31, nodes=256))
+    assert modes and max(modes) <= 2
 
 
 def test_cold_start_keeps_seeds_it_cannot_place():
