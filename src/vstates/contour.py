@@ -11,7 +11,10 @@ rotational symmetry and the reflection symmetry about the real axis;
 the annulus itself is the zero-coefficient member.  Sampling happens on
 the uniform grid theta_i = 2 pi i / N with N a multiple of m, which
 makes the fundamental sector an exact subsampling and lets downstream
-quadrature exploit the symmetry.
+quadrature exploit the symmetry.  `sample` evaluates all N nodes, for
+`boundary_distance` and the full-grid checks; the residual and its
+Jacobian read only the fundamental sector, the leading N/m nodes, and
+sample just those, bit for bit the same values.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ class SampledContour:
 
     z_j[i] = exp(i theta_i) rho_j(theta_i) with theta_i = 2 pi i / N, and
     dz_j[i] the analytic derivative d z_j / d theta at the node.  fold is
-    the m of the sampled shape, a divisor of N.
+    the m of the sampled shape, a divisor of N.  `sample` fills all N
+    nodes; inside the residual layer only the leading ones are sampled.
     """
 
     nodes: int
@@ -176,8 +180,32 @@ def _basis(nodes: int, fold: int, modes: int) -> tuple[FloatArray, FloatArray, C
     return cos, sin, unit
 
 
+@functools.lru_cache(maxsize=16)
+def _motion(
+    nodes: int, fold: int, modes: int
+) -> tuple[ComplexArray, ComplexArray, ComplexArray, ComplexArray]:
+    """Cached motions of the fundamental sector's nodes per unit coefficient.
+
+    Returns (shift, tilt, conj(shift), conj(tilt)), each (N/m) x M:
+    raising a_{j,l} moves the nodes of boundary j by
+    shift[:, l-1] = e^{i theta} cos(m l theta) and their derivatives by
+    tilt[:, l-1] = e^{i theta} (i cos(m l theta) - m l sin(m l theta)).
+    """
+    cos, sin, unit = _basis(nodes, fold, modes)
+    count = nodes // fold
+    shift = unit[:count, None] * cos[:count]
+    tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
+    tables = (shift, tilt, np.conj(shift), np.conj(tilt))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     """Evaluate both boundaries and their derivatives on the N-node grid.
+
+    All N nodes are evaluated and checked; `assemble` and `jacobian`
+    sample only the sector's N/m.
 
     Parameters
     ----------
@@ -194,6 +222,16 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
         cross; the message names the violated constraint and an
         offending angle.
     """
+    return _sample(coeffs, nodes, nodes)
+
+
+def _sample(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContour:
+    """`sample` at the leading `rows` nodes of the N-node grid only.
+
+    The values are bit for bit the leading rows of `sample(coeffs,
+    nodes)`, and the geometry checks see only these rows, so an
+    `InvalidContour` names an angle below 2 pi rows / N.
+    """
     m, M = coeffs.fold, coeffs.modes
     if nodes < 2 * m * M + 1:
         raise ValueError(
@@ -203,11 +241,16 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     if nodes % m != 0:
         raise ValueError(f"nodes={nodes} must be a multiple of the fold {m}")
     cos, sin, unit = _basis(nodes, m, M)
+    # The BLAS matrix-vector kernel sums a trailing group of fewer than
+    # four rows in another order, so the products run over whole groups
+    # to keep the bits of the N-row product.
+    stop = min(nodes, -(-rows // 4) * 4)
+    cos, sin, unit = cos[:stop], sin[:stop], unit[:rows]
 
-    rho1 = 1.0 + cos @ coeffs.a1
-    rho2 = coeffs.b + cos @ coeffs.a2
-    drho1 = -(sin @ coeffs.a1)
-    drho2 = -(sin @ coeffs.a2)
+    rho1 = 1.0 + (cos @ coeffs.a1)[:rows]
+    rho2 = coeffs.b + (cos @ coeffs.a2)[:rows]
+    drho1 = -(sin @ coeffs.a1)[:rows]
+    drho2 = -(sin @ coeffs.a2)[:rows]
 
     for values, label in (
         (rho2, "inner radius must stay positive; rho_2"),

@@ -29,7 +29,8 @@ def _radius_samples(state: StateFile, samples: int) -> tuple[np.ndarray, np.ndar
 def _path(theta: np.ndarray, rho: np.ndarray) -> str:
     x = rho * np.cos(theta)
     y = -rho * np.sin(theta)  # SVG's y axis points down
-    points = " L ".join(f"{xi:.6f},{yi:.6f}" for xi, yi in zip(x, y))
+    xy = np.column_stack([x, y]).ravel()
+    points = " L ".join(["%.6f,%.6f"] * len(x)) % tuple(xy.tolist())
     return f"M {points} Z"
 
 

@@ -27,6 +27,9 @@ sector is their odd extension.  `assemble` evaluates those targets
 against the sector's N/m sources only, so each of its four kernel
 tables is (N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both
 boundaries and forms two 2(N/(2m) + 1) x (N/m) tables per source.
+Both sample each boundary on those N/m sector nodes alone.  The
+residual is affine in omega, and `omega_column`, its omega derivative,
+needs the half-sector shape and no kernel sum.
 `vstate_residual_pointwise` makes no use of either symmetry and
 evaluates all N nodes against all N sources, which keeps it an
 independent full-grid check.
@@ -39,10 +42,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .contour import FloatArray, SampledContour, VortexContourCoeffs, _basis, sample
+from .contour import FloatArray, SampledContour, VortexContourCoeffs, _motion, _sample
 
 __all__ = [
-    "DiscreteResidual", "assemble", "jacobian", "residual_sector", "vstate_residual_pointwise"
+    "DiscreteResidual", "assemble", "jacobian", "omega_column", "residual_sector",
+    "vstate_residual_pointwise",
 ]
 
 
@@ -151,14 +155,30 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
     InvalidContour
         Propagated from sampling when the shape is degenerate.
     """
-    r1, r2 = residual_sector(sample(coeffs, nodes), omega, coeffs.fold)
-    max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     count = nodes // coeffs.fold
+    r1, r2 = residual_sector(_sample(coeffs, nodes, count), omega, coeffs.fold)
+    max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     return DiscreteResidual(
         b1=_sine_coefficients(_odd_extension(r1, count), coeffs.modes),
         b2=_sine_coefficients(_odd_extension(r2, count), coeffs.modes),
         max_abs=max_abs,
     )
+
+
+def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
+    """Derivative of ``assemble(coeffs, omega, nodes).as_vector()`` in omega.
+
+    The residual is affine in omega, with slope
+    Re(2 conj(z_j) dz_j/dtheta) = 2 rho_j rho_j' on boundary j, so the
+    derivative needs the shape and no kernel sum.  The slope on the half
+    sector is extended and projected as in `assemble`.
+    """
+    count = nodes // coeffs.fold
+    sc = _sample(coeffs, nodes, count // 2 + 1)
+    return np.concatenate([
+        _sine_coefficients(_odd_extension(np.real(2.0 * np.conj(z) * dz), count), coeffs.modes)
+        for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
+    ])
 
 
 def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArray:
@@ -206,17 +226,16 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     InvalidContour
         Propagated from sampling when the shape is degenerate.
     """
-    sc = sample(coeffs, nodes)
     fold, modes = coeffs.fold, coeffs.modes
     count = nodes // fold
     half = count // 2 + 1
-    cos, sin, unit = _basis(nodes, fold, modes)
+    sc = _sample(coeffs, nodes, count)
     # delta z and delta z' per unit a_{p,l} at the sector nodes of either boundary
-    shift = unit[:count, None] * cos[:count]
-    tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
+    shift, tilt, shift_conj, tilt_conj = _motion(nodes, fold, modes)
     target_shift, target_tilt = shift[:half], tilt[:half]
-    z = (sc.z1[:count], sc.z2[:count])
-    dz = (sc.dz1[:count], sc.dz2[:count])
+    target_shift_conj = shift_conj[:half]
+    z = (sc.z1, sc.z2)
+    dz = (sc.dz1, sc.dz2)
     # The targets of both boundaries as one column: rows[t] of boundary t
     rows = (slice(0, half), slice(half, 2 * half))
     blocks = (slice(0, modes), slice(modes, 2 * modes))
@@ -242,7 +261,7 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         pow_w = source_pow * source_dz
         low_w = pow_w / source
         lin = table @ np.column_stack([
-            source_dz[:, None] * np.conj(shift) + np.conj(source)[:, None] * tilt,
+            source_dz[:, None] * shift_conj + np.conj(source)[:, None] * tilt,
             low_w[:, None] * shift - source_pow[:, None] * tilt,
             kernel_w,
             pow_w,
@@ -265,15 +284,15 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         )
         ratio = target_dz[own] / target[own]
         kernel[own] += np.conj(target_dz[own]) - (fold - 1) * target_conj[own] * ratio
-        d_source[own] += np.conj(target_tilt) - (fold - 1) * (
-            np.conj(target_shift) * ratio[:, None]
+        d_source[own] += tilt_conj[:half] - (fold - 1) * (
+            target_shift_conj * ratio[:, None]
             + (target_conj[own] / target[own])[:, None]
             * (target_tilt - ratio[:, None] * target_shift)
         )
         induced += sign * kernel
         d_induced[:, blocks[s]] += sign * d_source
         p_rows, q_rows = sum_p.reshape(2, half, 1), sum_q.reshape(2, half, 1)
-        motion = target_shift * q_rows - np.conj(target_shift) * p_rows
+        motion = target_shift * q_rows - target_shift_conj * p_rows
         for t in range(2):
             d_induced[rows[t], blocks[t]] += sign * motion[t]
     scale = 1.0 / (1j * nodes)
@@ -284,7 +303,7 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     for t in range(2):
         own = rows[t]
         d_res[own, blocks[t]] += np.real(
-            2.0 * omega * np.conj(target_shift) * target_dz[own, None]
+            2.0 * omega * target_shift_conj * target_dz[own, None]
             + (2.0 * omega * target_conj[own] + induced[own])[:, None] * target_tilt
         )
         jac[blocks[t]] = _sine_coefficients(_odd_extension(d_res[own], count), modes)

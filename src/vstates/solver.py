@@ -56,7 +56,7 @@ import numpy as np
 
 from .contour import InvalidContour, VortexContourCoeffs, perturbed_annulus
 from .dispersion import eigenvalues_for_fold, kernel_vector
-from .residual import assemble, jacobian
+from .residual import assemble, jacobian, omega_column
 
 __all__ = [
     "SolverConfig",
@@ -245,7 +245,8 @@ def _branch_curvature(
     `direction` and with omega as an extra unknown.  Two modes suffice:
     the second-mode response enters the first-mode equation at third
     order, the third mode only at fifth.  The residual is affine in
-    omega, so the bordered system's omega column is a plain difference.
+    omega, so the bordered system's omega column comes from the shape
+    alone (`omega_column`): the projection of 2 rho_j rho_j'.
     """
     keep = min(2, config.modes)
     amplitude = CURVATURE_AMPLITUDE
@@ -259,7 +260,7 @@ def _branch_curvature(
             break
         bordered = np.zeros((2 * keep + 1, 2 * keep + 1))
         bordered[:-1, :-1] = jacobian(shape, omega, config.nodes)
-        bordered[:-1, -1] = assemble(shape, omega + 1.0, config.nodes).as_vector() - base
+        bordered[:-1, -1] = omega_column(shape, config.nodes)
         bordered[-1, [0, keep]] = direction
         rhs = np.append(base, direction @ x[[0, keep]] - amplitude)
         step = _inverse_checked(bordered) @ rhs

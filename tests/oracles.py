@@ -11,6 +11,8 @@ copies of each sector source in closed form; its targets are the whole
 sector, where `vstates.jacobian` evaluates half of it.
 `full_block_curvature` is `solver._branch_curvature` with the two-mode
 equations read out of the full M-mode residual and Jacobian.
+`omega_difference` is `vstates.residual.omega_column` as the
+difference of two assembles one unit of omega apart.
 `all_pairs_distance` is `vstates.boundary_distance` without the
 symmetry.
 """
@@ -167,6 +169,16 @@ def full_block_curvature(b, m, omega0, direction, config) -> float:
         x[unknowns] -= step[:-1]
         omega -= step[-1]
     return (omega - omega0) / amplitude**2
+
+
+def omega_difference(coeffs, omega, nodes):
+    """`omega_column(coeffs, nodes)` as assemble(omega + 1) - assemble(omega).
+
+    The residual is affine in omega, so the difference is the derivative
+    up to rounding.
+    """
+    base = assemble(coeffs, omega, nodes).as_vector()
+    return assemble(coeffs, omega + 1.0, nodes).as_vector() - base
 
 
 def all_pairs_distance(sc) -> float:

@@ -12,6 +12,7 @@ from vstates import (
     perturbed_annulus,
     sample,
 )
+from vstates.contour import _sample
 from oracles import all_pairs_distance
 
 
@@ -182,3 +183,21 @@ def test_boundary_distance_on_half_sector_matches_all_pairs(rng):
         sc = sample(coeffs, fold * (32 + fold))
         assert sc.fold == fold
         assert abs(boundary_distance(sc) - all_pairs_distance(sc)) < 1e-15
+
+
+def test_sector_sample_is_the_leading_rows_of_sample(rng):
+    """Folds 1-12, N/m odd, even and a multiple of 4, few and many modes:
+    the rows that `assemble` and `jacobian` sample are bit for bit those
+    of the full grid."""
+    for fold in (1, 3, 4, 12):
+        for count in (63, 64, 66):
+            for modes in (6, 31):
+                coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
+                full = sample(coeffs, fold * count)
+                for rows in (count, count // 2 + 1):
+                    part = _sample(coeffs, fold * count, rows)
+                    assert (part.nodes, part.fold) == (full.nodes, full.fold)
+                    for name in ("z1", "z2", "dz1", "dz2"):
+                        values = getattr(part, name)
+                        assert len(values) == rows
+                        assert np.array_equal(values, getattr(full, name)[:rows])

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from vstates.render import render_svg, save_svg
+from vstates.render import _path, render_svg, save_svg
 from vstates.state_io import StateFile
 
 
@@ -77,3 +77,13 @@ def test_save_svg_writes_file(tmp_path):
 def test_background_is_white():
     text = render_svg([make_state(0.15)], samples=64)
     assert '<rect' in text and 'fill="white"' in text
+
+
+def test_path_formats_each_point_like_an_f_string():
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    rho = 1.0 + 0.05 * np.cos(4 * theta)
+    rho[4] = 1e-8  # at theta = pi / 2, x rounds to -0.000000
+    x, y = rho * np.cos(theta), -rho * np.sin(theta)
+    points = " L ".join(f"{xi:.6f},{yi:.6f}" for xi, yi in zip(x, y))
+    assert _path(theta, rho) == f"M {points} Z"
+    assert "-0.000000," in points

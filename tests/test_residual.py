@@ -1,16 +1,19 @@
 """Projection of the pointwise residual onto the sine basis, and its Jacobian."""
 
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import vstates.kernels
+import vstates.residual
 import vstates.solver
 
 from vstates import (
     InvalidContour,
     SolverConfig,
+    VortexContourCoeffs,
     assemble,
     eigenvalues_for_fold,
     fd_jacobian,
@@ -22,7 +25,13 @@ from vstates import (
     sample,
     vstate_residual_pointwise,
 )
-from oracles import full_grid_assemble, full_source_jacobian, projection_defect
+from vstates.residual import omega_column
+from oracles import (
+    full_grid_assemble,
+    full_source_jacobian,
+    omega_difference,
+    projection_defect,
+)
 from test_contour import random_coeffs
 
 
@@ -47,19 +56,32 @@ def test_fold_reduced_path_matches_full_transform(rng):
 
 
 def test_assemble_sums_over_sector_sources(monkeypatch):
-    """Every kernel sum of an m = 12 assemble is (N/(2m) + 1) x (N/m) pairs."""
+    """Every kernel sum of an m = 12 assemble is (N/(2m) + 1) x (N/m) pairs,
+    and `assemble` and `jacobian` sample each boundary on at most the
+    sector's N/m nodes."""
     nodes, fold = 768, 12
     sector = nodes // fold
     shapes = []
+    sampled = []
     kernel_sums = vstates.kernels.kernel_sums
+    sample_rows = vstates.residual._sample
 
     def recording(targets, source_z, *args):
         shapes.append((len(targets), len(source_z)))
         return kernel_sums(targets, source_z, *args)
 
+    def recording_sample(*args):
+        sc = sample_rows(*args)
+        sampled.extend(len(values) for values in (sc.z1, sc.z2, sc.dz1, sc.dz2))
+        return sc
+
     monkeypatch.setattr(vstates.kernels, "kernel_sums", recording)
-    assemble(perturbed_annulus(0.85, fold, 31, a1_1=0.06), 0.09011, nodes)
+    monkeypatch.setattr(vstates.residual, "_sample", recording_sample)
+    shape = perturbed_annulus(0.85, fold, 31, a1_1=0.06)
+    assemble(shape, 0.09011, nodes)
     assert shapes == [(sector // 2 + 1, sector)] * 4  # half-sector targets
+    jacobian(shape, 0.09011, nodes)
+    assert len(sampled) == 8 and max(sampled) <= sector
 
 
 def test_reconstruction_consistency(rng):
@@ -253,3 +275,30 @@ def test_geometry_errors_propagate():
     bad = perturbed_annulus(0.1, 4, 1, a2_1=-0.2)
     with pytest.raises(InvalidContour):
         assemble(bad, 0.1, 128)
+
+
+def test_geometry_errors_name_an_angle_in_the_sector():
+    """`assemble` samples one sector, so it names an angle in [0, 2 pi / m).
+    On all N = 32 nodes, `sample` finds the most negative inner radius of
+    this 4-fold shape first at a copy in the third sector, theta = 3.337942."""
+    a2 = np.array([-0.2, 0.0, 0.05])
+    bad = VortexContourCoeffs(b=0.1, fold=4, modes=3, a1=np.zeros(3), a2=a2)
+    with pytest.raises(InvalidContour, match=r"^inner radius .* = -7\.677670e-02$") as caught:
+        assemble(bad, 0.1, 32)
+    angle = float(re.search(r"\(([0-9.]+)\)", str(caught.value)).group(1))
+    assert 0.0 <= angle < 2.0 * np.pi / 4
+
+
+def test_omega_column_matches_the_assemble_difference(rng, fold_12_state):
+    """The Omega derivative from the shape is the difference of two
+    assembles one unit of Omega apart, at folds 1-12 with N/m odd and even."""
+    cases = [
+        (random_coeffs(rng, fold=fold, modes=modes, scale=0.05), nodes)
+        for fold, nodes in ((1, 65), (3, 123), (4, 192), (4, 196), (12, 576))
+        for modes in (2, 6)
+    ]
+    cases.append((fold_12_state, 768))
+    for coeffs, nodes in cases:
+        column = omega_column(coeffs, nodes)
+        assert column.shape == (2 * coeffs.modes,)
+        assert np.abs(column - omega_difference(coeffs, 0.21, nodes)).max() < 1e-15
