@@ -35,8 +35,7 @@ from .dispersion import (
     frequency_matrix,
     kernel_vector,
 )
-from .kernels import kernel_integral
-from .residual import DiscreteResidual, assemble, jacobian, vstate_residual_pointwise
+from .residual import DiscreteResidual, assemble, jacobian
 from .solver import (
     GeometryBreakdown,
     SingularJacobian,
@@ -86,7 +85,6 @@ __all__ = [
     "feasibility",
     "frequency_matrix",
     "jacobian",
-    "kernel_integral",
     "kernel_vector",
     "load_branch",
     "load_state",
@@ -97,6 +95,5 @@ __all__ = [
     "save_branch",
     "save_state",
     "sweep",
-    "vstate_residual_pointwise",
     "__version__",
 ]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: dispersion, solve, sweep, render, validate.  Exit codes:
+Subcommands: dispersion, solve, sweep, render.  Exit codes:
 0 success, 1 usage errors, 2 infeasible (m, b), 3 numerical failure.
 """
 
@@ -24,7 +24,6 @@ from .solver import (
     newton_solve,
 )
 from .state_io import BranchFile, StateFile, load_state, save_branch, save_state
-from .validation import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,22 +169,6 @@ def _cmd_render(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
-    results = run_suite(args.suite, b=args.b, m=args.m, nodes=args.nodes)
-    failed = 0
-    for result in results:
-        relation = "<" if result.comparison == "below" else ">"
-        verdict = "PASS" if result.passed else "FAIL"
-        print(f"[{verdict}] {result.name}: {result.value:.3e} "
-              f"{relation} {result.threshold:.0e}")
-        failed += not result.passed
-    if failed:
-        print(f"{failed} of {len(results)} checks failed", file=sys.stderr)
-        return EXIT_NUMERICAL
-    print(f"all {len(results)} checks passed")
-    return EXIT_OK
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="vstates",
                      description="doubly connected rotating vortex patches")
@@ -232,21 +215,12 @@ def build_parser() -> _Parser:
                    help="angular resolution of each curve (default 720)")
     p.set_defaults(handler=lambda a: _cmd_render(a))
 
-    p = sub.add_parser("validate", help="internal consistency suites")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--b", type=float, default=0.7)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--nodes", type=int, default=None)
-    p.set_defaults(handler=lambda a: _cmd_validate(a))
-
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "validate" and args.nodes is None:
-        args.nodes = 512 if args.suite == "jacobian" else 256
     try:
         return args.handler(args)
     except (OSError, ValueError) as exc:

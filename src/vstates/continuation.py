@@ -10,21 +10,20 @@ like the square root of omega - omega0; while the sweep moves away from
 omega0 near the annulus, the predictor extrapolates linearly in that
 square root instead, and joins a lone first state to the annulus.
 
-The first grid point has no predecessor, so it is attempted from a
-ladder of single-mode annulus perturbations; which mode the ladder
-displaces follows the sweep direction, matching the null-direction
-structure at the two eigenvalues (outer-dominant near omega_plus,
-inner-dominant near omega_minus).  `newton_solve` treats
-these first-mode seeds as cold starts and replaces them by the
-bifurcation predictor wherever a branch reaches the grid point; there
-only the sign of a ladder seed matters.
+The first grid point has no predecessor, so it is attempted from one
+single-mode annulus perturbation; which mode it displaces follows the
+sweep direction, matching the null-direction structure at the two
+eigenvalues (outer-dominant near omega_plus, inner-dominant near
+omega_minus).  `newton_solve` treats such a first-mode seed as a cold
+start and replaces it by the bifurcation predictor wherever a branch
+reaches the grid point; there only the sign of the seed matters.
 
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
 contour counts as such a failure.  A failed attempt drops the carried
 inverse, so the next one forms a fresh Jacobian.  A failed grid point
 is retried through a midpoint bridge solve, and, while the branch is
-still within ladder reach of the annulus, from the cold-start ladder.
+still within ANNULUS_REACH of the annulus, from the cold seed.
 The bridge seeds from the secant too, and the grid point after it from
 the secant through the previous state and the bridge state.  An
 unrecoverable grid point is recorded in ``terminated_at`` and the sweep
@@ -45,7 +44,7 @@ from .contour import (
     perturbed_annulus,
     sample,
 )
-from .dispersion import eigenvalues_for_fold
+from .dispersion import nearer_eigenvalue
 from .solver import (
     ChordFactors,
     GeometryBreakdown,
@@ -59,14 +58,19 @@ __all__ = [
     "BranchRecord",
     "Branch",
     "EmptyBranch",
-    "default_seed_ladder",
     "sweep",
     "distance_profile",
     "minimum_distance",
 ]
 
-# First-mode amplitudes tried at the first grid point, in order.
-LADDER_AMPLITUDES = (0.02, 0.04, 0.06)
+# First-mode amplitude of the default cold seed.  `newton_solve` keeps
+# only its sign wherever a branch reaches the grid point.
+COLD_SEED_AMPLITUDE = 0.02
+
+# Largest coefficient of a state that still counts as next to the
+# annulus: the square-root predictor and the cold-seed rescue apply
+# only within it.
+ANNULUS_REACH = 0.06
 
 # Newton steps allowed from a warm seed, chord steps included.  While
 # the branch goes on, a warm solve reaches tol in 2-10 steps, and in
@@ -80,12 +84,12 @@ WARM_MAX_ITER = 12
 
 
 def _near_annulus(coeffs: VortexContourCoeffs) -> bool:
-    """Whether a state is within cold-start ladder reach of the annulus."""
-    return float(np.abs(coeffs.as_vector()).max()) <= max(LADDER_AMPLITUDES)
+    """Whether a state is within ANNULUS_REACH of the annulus."""
+    return float(np.abs(coeffs.as_vector()).max()) <= ANNULUS_REACH
 
 
 class EmptyBranch(RuntimeError):
-    """No ladder seed produced a nontrivial state at the first grid point."""
+    """No cold seed produced a nontrivial state at the first grid point."""
 
 
 @dataclass(frozen=True)
@@ -114,17 +118,11 @@ class Branch:
     terminated_at: float | None
 
 
-def default_seed_ladder(
-    b: float, m: int, modes: int, descending: bool
-) -> list[VortexContourCoeffs]:
-    """Single-mode seed shapes for a cold start near one eigenvalue."""
+def _cold_seed(b: float, m: int, modes: int, descending: bool) -> VortexContourCoeffs:
+    """Single-mode seed shape for a cold start near one eigenvalue."""
     if descending:
-        return [
-            perturbed_annulus(b, m, modes, a1_1=amp) for amp in LADDER_AMPLITUDES
-        ]
-    return [
-        perturbed_annulus(b, m, modes, a2_1=-amp) for amp in LADDER_AMPLITUDES
-    ]
+        return perturbed_annulus(b, m, modes, a1_1=COLD_SEED_AMPLITUDE)
+    return perturbed_annulus(b, m, modes, a2_1=-COLD_SEED_AMPLITUDE)
 
 
 def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
@@ -163,21 +161,17 @@ def _root_offsets(
     s = sqrt((w - omega0) / (omega1 - omega0)) is 0 at the eigenvalue
     omega0 nearer the last known omega1 and 1 at omega1; a lone state is
     joined to the annulus at s = 0.  The law holds while the last state
-    is within ladder reach of the annulus and omega moves away from
+    is within ANNULUS_REACH of the annulus and omega moves away from
     omega0 past omega1, with the earlier point on the same side.  Toward
     omega0 the square-root seed shrinks fast while the carried chord
     inverse goes stale, and such solves fail, so the omega secant stays.
     """
     omega1, last = known[-1]
-    if last.fold < 3 or not _near_annulus(last):
+    if not _near_annulus(last):
         return None
-    point = eigenvalues_for_fold(last.fold, last.b)
-    if not point.feasible:
+    omega0 = nearer_eigenvalue(last.fold, last.b, omega1)
+    if omega0 is None:
         return None
-    if abs(omega1 - point.omega_minus) <= abs(omega1 - point.omega_plus):
-        omega0 = point.omega_minus
-    else:
-        omega0 = point.omega_plus
     reach = omega1 - omega0
     if reach == 0.0 or (omega - omega1) * reach <= 0.0:
         return None
@@ -265,8 +259,9 @@ def sweep(
         Passed through to every solve; solves from a warm seed stop
         after at most WARM_MAX_ITER steps.
     seed_ladder : sequence of VortexContourCoeffs, optional
-        Cold-start seeds for the first point; defaults to
-        `default_seed_ladder` for the sweep direction.
+        Cold-start seeds for the first point, tried in order; defaults
+        to one first-mode seed of COLD_SEED_AMPLITUDE for the sweep
+        direction.
 
     Raises
     ------
@@ -274,13 +269,13 @@ def sweep(
         When the omega grid is not finite, does not march toward
         omega_end or has a step too small to move omega.
     EmptyBranch
-        When every ladder seed fails at omega_start.
+        When every cold seed fails at omega_start.
     """
     grid = _omega_grid(omega_start, omega_end, omega_step)
     descending = omega_step < 0.0
     origin = "omega_plus" if descending else "omega_minus"
     if seed_ladder is None:
-        seed_ladder = default_seed_ladder(b, m, config.modes, descending)
+        seed_ladder = [_cold_seed(b, m, config.modes, descending)]
 
     first = None
     for seed in seed_ladder:
@@ -289,7 +284,7 @@ def sweep(
             break
     if first is None:
         raise EmptyBranch(
-            f"no ladder seed converged to a nontrivial state at "
+            f"no cold seed converged to a nontrivial state at "
             f"omega = {grid[0]} (b = {b}, m = {m})"
         )
 
@@ -309,7 +304,7 @@ def sweep(
                 known = [known[-1], (midpoint, bridge.coeffs)]
                 report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
         if report is None and _near_annulus(previous.report.coeffs):
-            # Warm seed collapsed onto the annulus; the cold ladder
+            # Warm seed collapsed onto the annulus; a cold start
             # still works near the bifurcation points.  On a developed
             # branch a failed solve means the branch is ending, and
             # re-seeding from the annulus would risk hopping onto a

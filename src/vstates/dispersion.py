@@ -39,6 +39,7 @@ __all__ = [
     "feasibility",
     "critical_radius",
     "eigenvalues_for_fold",
+    "nearer_eigenvalue",
     "frequency_matrix",
     "kernel_vector",
     "double_eigenvalue_locus",
@@ -195,6 +196,22 @@ def eigenvalues_for_fold(m: int, b: float) -> Union[DispersionPoint, Infeasible]
         omega_plus=omega_plus,
         transversal=True,
     )
+
+
+def nearer_eigenvalue(m: int, b: float, omega: float) -> float | None:
+    """The bifurcation angular velocity of fold m at radius b nearer omega.
+
+    omega_minus on a tie; None when there is no eigenvalue pair (m < 3,
+    or b at or above the critical radius).
+    """
+    if m < 3:
+        return None
+    point = eigenvalues_for_fold(m, b)
+    if not point.feasible:
+        return None
+    if abs(omega - point.omega_minus) <= abs(omega - point.omega_plus):
+        return point.omega_minus
+    return point.omega_plus
 
 
 @dataclass(frozen=True)

@@ -15,27 +15,15 @@ A boundary with m-fold symmetry is given by one sector of its nodes:
 the m rotated copies of each sector node are summed in closed form, so
 each call forms one targets x (N/m) table instead of targets x N.  The
 residual's targets are the half sector, N/(2m) + 1 nodes, so each of
-its tables is (N/(2m) + 1) x (N/m).
-`kernel_integral` makes no use of the symmetry and sums over all N
-nodes of a sampled boundary, which keeps it an independent full-grid
-check.
+its tables is (N/(2m) + 1) x (N/m).  At m = 1, with every node as a
+target, the same sum is the plain full-grid trapezoid rule.
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
-from .contour import BoundaryTrace, ComplexArray
-
-__all__ = ["kernel_sums", "kernel_integral", "OFF_CURVE_MIN_SEPARATION", "active_backend"]
-
-# Below this target-to-node distance the trapezoid sum is meaningless:
-# the bounded-kernel argument needs the diagonal treatment instead.
-OFF_CURVE_MIN_SEPARATION = 1e-10
-
-Diagonal = Literal["on_curve", "off_curve"]
+__all__ = ["kernel_sums", "active_backend"]
 
 
 def active_backend() -> str:
@@ -83,48 +71,3 @@ def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
         dz = source_dz[idx]
         total += np.conj(dz) - (fold - 1) * np.conj(target_z) * dz / target_z
     return total / (1j * fold * len(source_z))
-
-
-def kernel_integral(
-    targets, source: BoundaryTrace, diagonal: Diagonal
-) -> ComplexArray:
-    """Trapezoidal boundary integral of one sampled boundary.
-
-    Parameters
-    ----------
-    targets : array_like of complex
-        Evaluation points.
-    source : BoundaryTrace
-        Sampled source boundary (nodes and derivatives).
-    diagonal : {"on_curve", "off_curve"}
-        "on_curve" requires targets to be exactly the source nodes,
-        index aligned, and applies the removable-singularity limit on
-        the diagonal.  "off_curve" treats all nodes as regular and
-        rejects targets closer than OFF_CURVE_MIN_SEPARATION to any
-        node.
-
-    Returns
-    -------
-    ndarray of complex
-        One integral value per target.
-    """
-    targets = np.asarray(targets, dtype=np.complex128)
-    if targets.ndim != 1:
-        raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
-    if diagonal == "on_curve":
-        if len(targets) != len(source.z) or not np.array_equal(targets, source.z):
-            raise ValueError(
-                "on_curve evaluation requires the targets to be exactly the "
-                "source nodes, index aligned"
-            )
-        return kernel_sums(targets, source.z, source.dz, True)
-    if diagonal == "off_curve":
-        separation = float(np.min(np.abs(source.z[None, :] - targets[:, None])))
-        if separation < OFF_CURVE_MIN_SEPARATION:
-            raise ValueError(
-                f"target within {separation:.3e} of a source node; "
-                f"off_curve evaluation requires at least "
-                f"{OFF_CURVE_MIN_SEPARATION:.0e}"
-            )
-        return kernel_sums(targets, source.z, source.dz, False)
-    raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")

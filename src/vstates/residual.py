@@ -30,9 +30,6 @@ boundaries and forms two 2(N/(2m) + 1) x (N/m) tables per source.
 Both sample each boundary on those N/m sector nodes alone.  The
 residual is affine in omega, and `omega_column`, its omega derivative,
 needs the half-sector shape and no kernel sum.
-`vstate_residual_pointwise` makes no use of either symmetry and
-evaluates all N nodes against all N sources, which keeps it an
-independent full-grid check.
 """
 
 from __future__ import annotations
@@ -44,10 +41,7 @@ import numpy as np
 from . import kernels
 from .contour import FloatArray, SampledContour, VortexContourCoeffs, _motion, _sample
 
-__all__ = [
-    "DiscreteResidual", "assemble", "jacobian", "omega_column", "residual_sector",
-    "vstate_residual_pointwise",
-]
+__all__ = ["DiscreteResidual", "assemble", "jacobian", "omega_column", "residual_sector"]
 
 
 def _pointwise(
@@ -57,7 +51,9 @@ def _pointwise(
 
     The sources are the leading N/m nodes of each boundary (m = fold),
     with the m rotated copies of every node summed in closed form, so
-    each value is the trapezoid sum over all N nodes.
+    each value is the trapezoid sum over all N nodes.  At fold 1 with
+    all N targets it uses neither symmetry, which makes it the
+    full-grid oracle of the tests.
     """
     count = sc.nodes // fold
     z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
@@ -91,17 +87,6 @@ def residual_sector(
     if fold < 1 or sc.nodes % fold:
         raise ValueError(f"fold must be a positive divisor of {sc.nodes}, got {fold}")
     return _pointwise(sc, omega, fold, sc.nodes // (2 * fold) + 1)
-
-
-def vstate_residual_pointwise(
-    sc: SampledContour, omega: float
-) -> tuple[FloatArray, FloatArray]:
-    """Pointwise rotation residual at every node of both boundaries.
-
-    Returns (r1, r2); both vanish identically exactly when the sampled
-    shape is a discrete V-state at angular velocity omega.
-    """
-    return _pointwise(sc, omega, 1, sc.nodes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import InvalidContour, VortexContourCoeffs, perturbed_annulus
-from .dispersion import eigenvalues_for_fold, kernel_vector
+from .dispersion import kernel_vector, nearer_eigenvalue
 from .residual import assemble, jacobian, omega_column
 
 __all__ = [
@@ -274,20 +274,11 @@ def _cold_start(
 ) -> VortexContourCoeffs:
     """Bifurcation predictor for a first-mode seed; other seeds pass through."""
     first = np.array([seed.a1[0], seed.a2[0]])
-    if (
-        seed.fold < 3
-        or not first.any()
-        or np.any(seed.a1[1:])
-        or np.any(seed.a2[1:])
-    ):
+    if not first.any() or np.any(seed.a1[1:]) or np.any(seed.a2[1:]):
         return seed
-    point = eigenvalues_for_fold(seed.fold, seed.b)
-    if not point.feasible:
+    omega0 = nearer_eigenvalue(seed.fold, seed.b, omega)
+    if omega0 is None:
         return seed
-    if abs(omega - point.omega_minus) <= abs(omega - point.omega_plus):
-        omega0 = point.omega_minus
-    else:
-        omega0 = point.omega_plus
     direction = np.array(kernel_vector(seed.fold - 1, 1.0 - 2.0 * omega0, seed.b))
     direction /= np.linalg.norm(direction)
     if direction @ first < 0.0:

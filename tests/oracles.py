@@ -1,10 +1,17 @@
 """Cross-check oracles that only the tests read.
 
+`kernel_integral` is the trapezoid boundary integral of one sampled
+boundary, summed over all of its N nodes, and
+`vstate_residual_pointwise` the rotation residual at every node of
+both boundaries, summed over all N sources: neither uses the m-fold
+symmetry.
+
 `vstates.assemble` evaluates the residual on half of the fundamental
 sector, extends it to the sector as an odd function and projects it
-with a length-N/m transform.  The functions here evaluate it on all N
-nodes and project it with the length-N transform instead, which is the
-same sine projection computed without using either symmetry.
+with a length-N/m transform.  `full_grid_assemble` and
+`projection_defect` evaluate it on all N nodes and project it with the
+length-N transform instead, which is the same sine projection computed
+without using either symmetry.
 `full_source_jacobian` differentiates `assemble` with every source
 node summed on its own, where `vstates.jacobian` sums the m rotated
 copies of each sector source in closed form; its targets are the whole
@@ -17,12 +24,73 @@ difference of two assembles one unit of omega apart.
 symmetry.
 """
 
+from typing import Literal
+
 import numpy as np
 
-from vstates import VortexContourCoeffs, assemble, sample, vstate_residual_pointwise
+from vstates import VortexContourCoeffs, assemble, sample
 from vstates.contour import _basis
-from vstates.residual import DiscreteResidual, _sine_coefficients, jacobian
+from vstates.kernels import kernel_sums
+from vstates.residual import DiscreteResidual, _pointwise, _sine_coefficients, jacobian
 from vstates.solver import CURVATURE_AMPLITUDE, CURVATURE_TOL, _inverse_checked
+
+# Below this target-to-node distance the trapezoid sum is meaningless:
+# the bounded-kernel argument needs the diagonal treatment instead.
+OFF_CURVE_MIN_SEPARATION = 1e-10
+
+Diagonal = Literal["on_curve", "off_curve"]
+
+
+def kernel_integral(targets, source, diagonal: Diagonal):
+    """Trapezoidal boundary integral of one sampled boundary.
+
+    Parameters
+    ----------
+    targets : array_like of complex
+        Evaluation points.
+    source : BoundaryTrace
+        Sampled source boundary (nodes and derivatives).
+    diagonal : {"on_curve", "off_curve"}
+        "on_curve" requires targets to be exactly the source nodes,
+        index aligned, and applies the removable-singularity limit on
+        the diagonal.  "off_curve" treats all nodes as regular and
+        rejects targets closer than OFF_CURVE_MIN_SEPARATION to any
+        node.
+
+    Returns
+    -------
+    ndarray of complex
+        One integral value per target.
+    """
+    targets = np.asarray(targets, dtype=np.complex128)
+    if targets.ndim != 1:
+        raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
+    if diagonal == "on_curve":
+        if len(targets) != len(source.z) or not np.array_equal(targets, source.z):
+            raise ValueError(
+                "on_curve evaluation requires the targets to be exactly the "
+                "source nodes, index aligned"
+            )
+        return kernel_sums(targets, source.z, source.dz, True)
+    if diagonal == "off_curve":
+        separation = float(np.min(np.abs(source.z[None, :] - targets[:, None])))
+        if separation < OFF_CURVE_MIN_SEPARATION:
+            raise ValueError(
+                f"target within {separation:.3e} of a source node; "
+                f"off_curve evaluation requires at least "
+                f"{OFF_CURVE_MIN_SEPARATION:.0e}"
+            )
+        return kernel_sums(targets, source.z, source.dz, False)
+    raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
+
+
+def vstate_residual_pointwise(sc, omega):
+    """Pointwise rotation residual (r1, r2) at every node of both boundaries.
+
+    Both vanish identically exactly when the sampled shape is a discrete
+    V-state at angular velocity omega.
+    """
+    return _pointwise(sc, omega, 1, sc.nodes)
 
 
 def _full_grid(coeffs, omega, nodes):

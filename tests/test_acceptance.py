@@ -19,7 +19,6 @@ from vstates import (
     eigenvalues_for_fold,
     fd_jacobian,
     frequency_matrix,
-    kernel_integral,
     load_state,
     newton_solve,
     perturbed_annulus,
@@ -29,7 +28,7 @@ from vstates import (
 )
 from vstates.solver import normalize_signs
 
-from oracles import full_grid_assemble
+from oracles import full_grid_assemble, kernel_integral
 
 
 def test_criterion_1_eigenvalue_table():

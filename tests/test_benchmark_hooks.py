@@ -1,5 +1,6 @@
 """The names the benchmark harness looks up in vstates still exist, every
-exported name resolves, and importing vstates stays cheap and loads no scipy.
+exported name resolves, no test oracle is a name of the package, and
+importing vstates stays cheap and loads no scipy.
 
 `perfbench/spans.py` wraps each function in its `LAYERS` table, found by
 name, and `perfbench/run.py` records `vstates.kernels.active_backend()`.
@@ -7,6 +8,7 @@ Deleting one of them breaks `perfbench/run.py --trace 1`, so it fails here.
 `perfbench/run.py` also counts the import of vstates in `setup_s`.
 """
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -47,6 +49,29 @@ def test_public_names_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_oracles_stay_out_of_the_package():
+    """No public name defined in tests/oracles.py is a name of vstates or
+    of any of its modules: the cross-check oracles live in the tests only."""
+    import vstates
+
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    defined = {name for name in defined if not name.startswith("_")}
+    assert {"kernel_integral", "vstate_residual_pointwise"} <= defined
+    modules = [vstates] + [
+        importlib.import_module(f"vstates.{info.name}")
+        for info in pkgutil.iter_modules(vstates.__path__)
+    ]
+    for module in modules:
+        leaked = {name for name in defined if hasattr(module, name)}
+        assert not leaked, f"{module.__name__} has {sorted(leaked)}"
 
 
 def test_active_backend_exists():

@@ -9,7 +9,6 @@ import pytest
 
 from vstates import load_branch, load_state
 from vstates.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
-from vstates.validation import run_suite
 
 
 def run(capsys, *argv):
@@ -201,6 +200,17 @@ def test_solve_seed_file_conflicts(tmp_path, capsys):
             "--seed-file", str(state), "--nodes", "128",
         ])
     assert excinfo.value.code == EXIT_USAGE
+    capsys.readouterr()
+    # the seed carries the default 15 modes of N = 128, more than --modes
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "solve", "--b", "0.5", "--m", "4", "--omega", "0.2",
+            "--seed-file", str(state), "--nodes", "128", "--modes", "7",
+        ])
+    assert excinfo.value.code == EXIT_USAGE
+    assert "seed file carries 15 modes, more than the requested truncation 7" in (
+        capsys.readouterr().err
+    )
 
 
 def test_solve_seed_file_unreadable(tmp_path, capsys):
@@ -425,47 +435,6 @@ def test_render_rejects_invalid_values(tmp_path, capsys):
         )
         assert code == EXIT_USAGE
         assert err.startswith("vstates: error:") and str(bad) in err
-
-
-def test_validate_annulus_suite(capsys):
-    code, out, _ = run(capsys, "validate", "--suite", "annulus")
-    assert code == EXIT_OK
-    assert "[PASS]" in out
-    assert "checks passed" in out
-    assert "[FAIL]" not in out
-
-
-def test_validate_jacobian_suite(capsys):
-    code, out, _ = run(
-        capsys, "validate", "--suite", "jacobian", "--b", "0.63", "--m", "4"
-    )
-    assert code == EXIT_OK
-    assert "[FAIL]" not in out
-
-
-def test_validate_jacobian_suite_infeasible_radius(capsys):
-    # the default b = 0.7 sits above the fold-4 critical radius, so the
-    # eigenvalue checks cannot pass there; the suite must report, not crash
-    code, out, err = run(capsys, "validate", "--suite", "jacobian")
-    assert code == EXIT_NUMERICAL
-    assert "[FAIL]" in out
-    assert "checks failed" in err
-
-
-def test_validate_convergence_suite(capsys):
-    code, out, _ = run(
-        capsys, "validate", "--suite", "convergence", "--b", "0.63", "--m", "4"
-    )
-    assert code == EXIT_OK
-    assert "[FAIL]" not in out
-
-
-def test_validate_unknown_suite(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["validate", "--suite", "imaginary"])
-    assert excinfo.value.code == EXIT_USAGE
-    with pytest.raises(ValueError, match="unknown suite 'imaginary'"):
-        run_suite("imaginary", 0.7, 4, 256)
 
 
 def test_version_flag(capsys):

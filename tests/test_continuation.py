@@ -84,12 +84,14 @@ def test_sweep_rejects_non_finite_omegas():
 
 
 def test_default_ladder_targets_the_expected_boundary():
-    ascending = continuation.default_seed_ladder(0.63, 4, 31, descending=False)
-    assert [s.a2[0] for s in ascending] == [-a for a in continuation.LADDER_AMPLITUDES]
-    assert all(np.abs(s.a1).max() == 0 for s in ascending)
-    descending = continuation.default_seed_ladder(0.63, 4, 31, descending=True)
-    assert [s.a1[0] for s in descending] == list(continuation.LADDER_AMPLITUDES)
-    assert all(np.abs(s.a2).max() == 0 for s in descending)
+    """The default cold seed is one first-mode seed per sweep direction."""
+    amplitude = continuation.COLD_SEED_AMPLITUDE
+    ascending = continuation._cold_seed(0.63, 4, 31, descending=False)
+    assert ascending.a2[0] == -amplitude
+    assert np.abs(ascending.a1).max() == 0 and np.abs(ascending.a2[1:]).max() == 0
+    descending = continuation._cold_seed(0.63, 4, 31, descending=True)
+    assert descending.a1[0] == amplitude
+    assert np.abs(descending.a2).max() == 0 and np.abs(descending.a1[1:]).max() == 0
 
 
 def test_ascending_mini_sweep():
@@ -141,7 +143,7 @@ def test_sweep_reuses_jacobians(monkeypatch):
 
 def test_attempt_after_a_failure_starts_fresh(monkeypatch):
     """A failed attempt drops the carried factors: the bridge and the
-    ladder that follow form their own Jacobian first."""
+    cold-seed rescue that follow form their own Jacobian first."""
     calls = []
     solve = continuation.newton_solve
 
@@ -207,7 +209,7 @@ def test_branch_sides_have_opposite_dominance():
     the outer one; visible at small b where the pair is well separated."""
     point = eigenvalues_for_fold(4, 0.2)
     config = SolverConfig(modes=15, nodes=128)
-    # step sign picks the ladder: the high branch is walked downward
+    # step sign picks the cold seed: the high branch is walked downward
     low = sweep(0.2, 4, point.omega_minus + 0.003, point.omega_minus + 0.003, 1e-3, config)
     high = sweep(0.2, 4, point.omega_plus - 0.003, point.omega_plus - 0.003, -1e-3, config)
     low_coeffs = low.records[0].report.coeffs
@@ -218,8 +220,8 @@ def test_branch_sides_have_opposite_dominance():
 
 def test_coarse_first_step_recovers_via_cold_ladder(monkeypatch):
     """A 10^-3 first step outruns a seed that ignores the square-root
-    growth of the amplitude right at the bifurcation.  The cold ladder
-    must recover; without it the sweep stops after one point."""
+    growth of the amplitude right at the bifurcation.  The cold-seed
+    rescue must recover; without it the sweep stops after one point."""
     _lone_state_secant(monkeypatch)
     branch = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
     assert len(branch.records) == 2
@@ -266,7 +268,7 @@ def test_secant_follows_the_square_root_law_next_to_the_annulus(monkeypatch):
 def test_sweep_next_to_a_bifurcation_stays_on_the_branch(monkeypatch):
     """With the square-root predictor, a coarse first step away from
     either eigenvalue converges warm: no attempt falls back to the
-    annulus and the cold ladder runs only at the first grid point."""
+    annulus and the cold seed runs only at the first grid point."""
     calls = []
     solve = continuation.newton_solve
 

@@ -18,6 +18,7 @@ from vstates import (
     frequency_matrix,
     kernel_vector,
 )
+from vstates.dispersion import nearer_eigenvalue
 
 
 def quadratic_roots(n, b):
@@ -123,6 +124,18 @@ def test_infeasible_radius_reported():
     assert result.feasibility > 0
     # the boundary case itself is infeasible too (double root, no crossing)
     assert not eigenvalues_for_fold(3, 0.5).feasible
+
+
+def test_nearer_eigenvalue():
+    point = eigenvalues_for_fold(4, 0.63)
+    center = 0.5 * (point.omega_minus + point.omega_plus)
+    assert nearer_eigenvalue(4, 0.63, point.omega_minus - 0.01) == point.omega_minus
+    assert nearer_eigenvalue(4, 0.63, center - 1e-6) == point.omega_minus
+    assert nearer_eigenvalue(4, 0.63, center + 1e-6) == point.omega_plus
+    assert nearer_eigenvalue(4, 0.63, 0.3) == point.omega_plus
+    # no eigenvalue pair: fold below 3, or b at or above the critical radius
+    assert nearer_eigenvalue(2, 0.63, 0.15) is None
+    assert nearer_eigenvalue(4, critical_radius(4) + 0.01, 0.15) is None
 
 
 def test_transversality_flag_set():

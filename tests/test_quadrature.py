@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from vstates import perturbed_annulus, sample, kernel_integral, vstate_residual_pointwise
+from vstates import perturbed_annulus, sample
 from vstates.contour import BoundaryTrace
 from vstates.residual import residual_sector
+
+from oracles import kernel_integral, vstate_residual_pointwise
 
 from test_contour import random_coeffs
 

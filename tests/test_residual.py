@@ -23,7 +23,6 @@ from vstates import (
     newton_solve,
     perturbed_annulus,
     sample,
-    vstate_residual_pointwise,
 )
 from vstates.residual import omega_column
 from oracles import (
@@ -31,6 +30,7 @@ from oracles import (
     full_source_jacobian,
     omega_difference,
     projection_defect,
+    vstate_residual_pointwise,
 )
 from test_contour import random_coeffs
 
@@ -156,19 +156,24 @@ def test_jacobian_is_block_diagonal_at_annulus():
 
 
 def test_jacobian_blocks_singular_exactly_at_eigenvalues():
+    """The exact Jacobian and its finite-difference oracle both lose rank
+    at the two eigenvalues and keep full rank midway."""
     point = eigenvalues_for_fold(4, 0.63)
     config = SolverConfig(modes=15, nodes=512)
     annulus = perturbed_annulus(0.63, 4, 15)
-
-    def smallest_singular(omega):
-        return np.linalg.svd(
-            fd_jacobian(annulus, omega, config), compute_uv=False
-        ).min()
-
-    assert smallest_singular(point.omega_minus) < 1e-4
-    assert smallest_singular(point.omega_plus) < 1e-4
     midway = 0.5 * (point.omega_minus + point.omega_plus)
-    assert smallest_singular(midway) > 1e-2
+    linearizations = {
+        "fd_jacobian": lambda omega: fd_jacobian(annulus, omega, config),
+        "jacobian": lambda omega: jacobian(annulus, omega, config.nodes),
+    }
+    for name, linearize in linearizations.items():
+
+        def smallest_singular(omega):
+            return np.linalg.svd(linearize(omega), compute_uv=False).min()
+
+        assert smallest_singular(point.omega_minus) < 1e-4, name
+        assert smallest_singular(point.omega_plus) < 1e-4, name
+        assert smallest_singular(midway) > 1e-2, name
 
 
 def _assert_matches_fd(coeffs, omega, nodes):

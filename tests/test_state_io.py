@@ -114,11 +114,13 @@ def test_state_file_validation(tmp_path, reference_state):
         ("m", 0),
         ("modes", 0),
         ("nodes", 0),
+        pytest.param("omega", 10**400, id="omega-int-beyond-double"),
     ],
 )
 def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, value):
-    """A present but null, non-numeric or non-finite field is named in a
-    ValueError; "entry" puts the value into one coefficient."""
+    """A present but null, non-numeric or non-finite field, or an integer
+    too large for a double, is named in a ValueError; "entry" puts the
+    value into one coefficient."""
     state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
     path = tmp_path / "state.json"
     save_state(path, state, timestamp=False)
@@ -131,7 +133,7 @@ def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, val
     with pytest.raises(ValueError, match=f"{path}: field '{field}'"):
         load_state(path)
     if value == "entry":
-        for entry in (float("nan"), "0.1", False):
+        for entry in (float("nan"), "0.1", False, 10**400):
             doc[field][3] = entry
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match=f"field '{field}'"):
