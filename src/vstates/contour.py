@@ -181,21 +181,22 @@ def _basis(nodes: int, fold: int, modes: int) -> tuple[FloatArray, FloatArray, C
 
 
 @functools.lru_cache(maxsize=16)
-def _motion(
-    nodes: int, fold: int, modes: int
-) -> tuple[ComplexArray, ComplexArray, ComplexArray, ComplexArray]:
-    """Cached motions of the fundamental sector's nodes per unit coefficient.
+def _motion(nodes: int, fold: int, modes: int) -> tuple[FloatArray, ComplexArray, ComplexArray]:
+    """Cached motions of the sector's nodes per unit coefficient.
 
-    Returns (shift, tilt, conj(shift), conj(tilt)), each (N/m) x M:
-    raising a_{j,l} moves the nodes of boundary j by
-    shift[:, l-1] = e^{i theta} cos(m l theta) and their derivatives by
-    tilt[:, l-1] = e^{i theta} (i cos(m l theta) - m l sin(m l theta)).
+    Raising a_{j,l} moves the nodes of boundary j by e^{i theta} C[:, l-1]
+    and their derivatives by e^{i theta} (i C[:, l-1] - S[:, l-1]), with C
+    and S of `_basis`.  Returns (sources, shift, tilt): [C^T | S^T] on the
+    sector's N/m nodes, and those two motions on the half sector's
+    N/(2m) + 1, one row per coefficient.
     """
     cos, sin, unit = _basis(nodes, fold, modes)
     count = nodes // fold
-    shift = unit[:count, None] * cos[:count]
-    tilt = unit[:count, None] * (1j * cos[:count] - sin[:count])
-    tables = (shift, tilt, np.conj(shift), np.conj(tilt))
+    half = count // 2 + 1
+    sources = np.concatenate([cos[:count].T, sin[:count].T], axis=1)
+    shift = np.ascontiguousarray((unit[:half, None] * cos[:half]).T)
+    tilt = np.ascontiguousarray((unit[:half, None] * (1j * cos[:half] - sin[:half])).T)
+    tables = (sources, shift, tilt)
     for table in tables:
         table.setflags(write=False)
     return tables

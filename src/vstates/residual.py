@@ -19,14 +19,16 @@ with b_{j,k} = (2 / N) sum_i r_j(theta_i) sin(m k theta_i).  The
 annulus maps to zero for every (b, omega): the trivial branch.
 
 By symmetry the projection only needs the residual on the fundamental
-sector, where it reduces to a length-N/m transform: frequency m k on
-the full grid is frequency k on the sector grid.  Being odd, the
-residual on the sector is fixed by its values on the half sector
-0 <= theta <= pi / m, the leading N/(2m) + 1 nodes, and the rest of the
-sector is their odd extension.  `assemble` evaluates those targets
-against the sector's N/m sources only, so each of its four kernel
-tables is (N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both
-boundaries and forms two 2(N/(2m) + 1) x (N/m) tables per source.
+sector, where it reduces to a length-N/m sum: frequency m k on the full
+grid is frequency k on the sector grid.  Being odd, the residual on the
+sector is fixed by its values on the half sector 0 <= theta <= pi / m,
+the leading N/(2m) + 1 nodes, and the rest of the sector is their odd
+extension.  So the projection is one product with a cached half-sector
+sine matrix that counts each node strictly inside the half sector twice,
+for its mirror image.  `assemble` evaluates those targets against the
+sector's N/m sources only, so each of its four kernel tables is
+(N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both boundaries
+and forms one F table of (N/m) x 2(N/(2m) + 1) per source boundary.
 Both sample each boundary on those N/m sector nodes alone.  The
 residual is affine in omega, and `omega_column`, its omega derivative,
 needs the half-sector shape and no kernel sum.
@@ -34,12 +36,13 @@ needs the half-sector shape and no kernel sum.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .contour import FloatArray, SampledContour, VortexContourCoeffs, _motion, _sample
+from .contour import FloatArray, SampledContour, VortexContourCoeffs, _basis, _motion, _sample
 
 __all__ = ["DiscreteResidual", "assemble", "jacobian", "omega_column", "residual_sector"]
 
@@ -105,25 +108,32 @@ class DiscreteResidual:
         return np.concatenate([self.b1, self.b2])
 
 
-def _odd_extension(values: FloatArray, count: int) -> FloatArray:
-    """An odd function on all `count` sector nodes from its half sector (axis 0)."""
-    return np.concatenate([values, -values[count - len(values) : 0 : -1]])
+@functools.lru_cache(maxsize=16)
+def _sine_projection(count: int, modes: int) -> FloatArray:
+    """Cached sine projection of an odd sector function from its half sector.
 
-
-def _sine_coefficients(values: FloatArray, modes: int) -> FloatArray:
-    """First `modes` sine coefficients of samples over one period (axis 0)."""
-    n = len(values)
-    spectrum = np.fft.rfft(values, axis=0)
-    return -2.0 / n * np.imag(spectrum[1 : modes + 1])
+    Returns Q, (count // 2 + 1) x modes, such that r @ Q holds the first
+    `modes` coefficients b_k = (2 / count) sum_j r_j sin(2 pi j k / count)
+    of the odd function on all `count` sector nodes whose leading
+    count // 2 + 1 values are r.  A node 0 < j < count / 2 also stands
+    for its mirror count - j, so Q[j, k - 1] = (4 / count)
+    sin(2 pi j k / count), and the rows at theta = 0 and, for even
+    count, theta = pi / m are exactly zero.
+    """
+    j = np.arange(count // 2 + 1)
+    phase = np.outer(j, np.arange(1, modes + 1)) % count
+    sine = 4.0 / count * np.sin(2.0 * np.pi / count * phase)
+    sine[(j == 0) | (2 * j == count)] = 0.0
+    sine.setflags(write=False)
+    return sine
 
 
 def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteResidual:
     """Projected residual of a shape at angular velocity omega.
 
     The residual is evaluated on the half sector, the leading
-    N/(2m) + 1 nodes of each boundary, extended to the fundamental
-    sector (the leading N/m nodes) as an odd function, and projected
-    with a length-N/m transform.
+    N/(2m) + 1 nodes of each boundary, and projected with the
+    half-sector sine matrix.
 
     Parameters
     ----------
@@ -143,11 +153,8 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
     count = nodes // coeffs.fold
     r1, r2 = residual_sector(_sample(coeffs, nodes, count), omega, coeffs.fold)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    return DiscreteResidual(
-        b1=_sine_coefficients(_odd_extension(r1, count), coeffs.modes),
-        b2=_sine_coefficients(_odd_extension(r2, count), coeffs.modes),
-        max_abs=max_abs,
-    )
+    sine = _sine_projection(count, coeffs.modes)
+    return DiscreteResidual(b1=r1 @ sine, b2=r2 @ sine, max_abs=max_abs)
 
 
 def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
@@ -156,13 +163,13 @@ def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
     The residual is affine in omega, with slope
     Re(2 conj(z_j) dz_j/dtheta) = 2 rho_j rho_j' on boundary j, so the
     derivative needs the shape and no kernel sum.  The slope on the half
-    sector is extended and projected as in `assemble`.
+    sector is projected as in `assemble`.
     """
     count = nodes // coeffs.fold
     sc = _sample(coeffs, nodes, count // 2 + 1)
+    sine = _sine_projection(count, coeffs.modes)
     return np.concatenate([
-        _sine_coefficients(_odd_extension(np.real(2.0 * np.conj(z) * dz), count), coeffs.modes)
-        for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
+        np.real(2.0 * np.conj(z) * dz) @ sine for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
     ])
 
 
@@ -170,20 +177,19 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     """Exact derivative of ``assemble(coeffs, omega, nodes).as_vector()``.
 
     Rows follow (b1, b2) and columns the solver unknowns (a1_1..a1_M,
-    a2_1..a2_M).  Raising a_{p,l} moves boundary p by
-    delta z = e^{i theta} cos(m l theta) and its derivative by
-    delta z' = e^{i theta} (i cos(m l theta) - m l sin(m l theta)).  Each
-    kernel term conj(d) / d zeta'_k, d = zeta_k - z, then changes by
+    a2_1..a2_M).  Raising a_{p,l} moves boundary p by delta z = u C and
+    its derivative by delta z' = u (i C - S), with u = e^{i theta},
+    C = cos(m l theta) and S = m l sin(m l theta).  Each kernel term
+    conj(d) / d zeta'_k, d = zeta_k - z, then changes by
 
         conj(delta d) zeta'_k / d - delta d conj(d) zeta'_k / d^2
             + delta zeta'_k conj(d) / d,   delta d = delta zeta_k - delta z.
 
     As in `assemble`, the targets z are the leading N/(2m) + 1 nodes of
-    each boundary, whose rows are extended to the sector as odd
-    functions, and the sources zeta are the leading N/m nodes.  The
-    rotated copy u zeta (u^m = 1) of a sector source carries u zeta',
-    u delta zeta and u delta zeta', so its m copies sum to combinations
-    of S_p = sum_u u^p / (u zeta - z) and T_p = dS_p / dz.  With
+    each boundary and the sources zeta the leading N/m.  The rotated
+    copy q zeta (q^m = 1) of a sector source carries q zeta',
+    q delta zeta and q delta zeta', so its m copies sum to combinations
+    of S_p = sum_q q^p / (q zeta - z) and T_p = dS_p / dz.  With
     F = m / (zeta^m - z^m),
 
         source motion:  zeta' S_0 conj(delta zeta) - zeta' (conj(zeta) T_1
@@ -195,11 +201,21 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         T_0 = (m-1) z^(m-2) F + z^(2m-2) F^2,  T_2 = zeta^(m-2) (F + z^m F^2).
 
     (At m = 1 the closed form of S_2 is off by the constant 1 / zeta,
-    which T_2 does not see.)  Every (targets x sector) table is then a
-    row and column scaling of F or F^2.  The targets of both boundaries
-    are stacked into 2(N/(2m) + 1) rows, and per source boundary one F
-    and one F^2 table, times 2M + 2 weight columns, give the source
-    motion, the kernel and the target-motion sums at every target.
+    which T_2 does not see.)  The targets of both boundaries are stacked
+    into 2(N/(2m) + 1) columns, and per source boundary the source motion
+    is the sum over the sector sources of G C + H S, with P = zeta^(m-1),
+    tp = z^(m-1), tc = conj(z), tm = z^m and
+
+        G = F (tp A + tc B + F (tc tm L - tp E)),  H = F (tc P u - tp conj(zeta) u),
+        A = zeta' conj(u) + i conj(zeta) u,  B = (P zeta' / zeta - i P) u,
+        L = P zeta' u / zeta,  E = conj(zeta) zeta' P u.
+
+    The residual changes by the real part of the kernel sums' change
+    times z' / (i N).  That factor goes into tp and tc, so one batched
+    product forms the three rank-2 sums, and one real product of
+    [C^T | S^T] with Re(G; H) gives the residual rows of every target,
+    projected at once with the half-sector sine matrix.  F and F^2 times
+    two weight vectors give the kernel and the target-motion sums.
 
     On the source boundary's own rows F is zeroed at the node under
     the target, and its m copies are added back: the removable limit
@@ -215,13 +231,12 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     count = nodes // fold
     half = count // 2 + 1
     sc = _sample(coeffs, nodes, count)
-    # delta z and delta z' per unit a_{p,l} at the sector nodes of either boundary
-    shift, tilt, shift_conj, tilt_conj = _motion(nodes, fold, modes)
-    target_shift, target_tilt = shift[:half], tilt[:half]
-    target_shift_conj = shift_conj[:half]
+    unit = _basis(nodes, fold, modes)[2][:count]
+    sources, shift, tilt = _motion(nodes, fold, modes)
+    sine = _sine_projection(count, modes)
     z = (sc.z1, sc.z2)
     dz = (sc.dz1, sc.dz2)
-    # The targets of both boundaries as one column: rows[t] of boundary t
+    # The targets of both boundaries in one row: columns rows[t] of boundary t
     rows = (slice(0, half), slice(half, 2 * half))
     blocks = (slice(0, modes), slice(modes, 2 * modes))
     target = np.concatenate([z[0][:half], z[1][:half]])
@@ -229,67 +244,74 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     target_pow = target ** (fold - 1)
     target_m = target_pow * target
     target_conj = np.conj(target)
+    weight = target_dz / (1j * nodes)
+    ratio = target_dz / target
+    turn = (fold - 1) * target_conj / target
+    # The target factors (tp, tc), (tp, tc tm) and (tp, tc) times the
+    # weight, and each times i: the complex sum a p + b q is the real
+    # product of (Re a, Im a, Re b, Im b) with (p, i p, q, i q).
+    right = np.empty((3, 4, 2 * half), dtype=np.complex128)
+    right[:, 0] = target_pow * weight
+    right[[0, 2], 2] = target_conj * weight
+    right[1, 2] = target_m * right[0, 2]
+    np.multiply(1j, right[:, 0::2], out=right[:, 1::2])
+    left = np.empty((3, count, 2), dtype=np.complex128)
+    table = np.empty((count, 2 * half), dtype=np.complex128)  # F, sources x targets
+    work = np.empty((3, count, 2 * half), dtype=np.complex128)
+    # Re(G; H) as 2(N/m) x targets floats, in the memory of work[0]
+    real = work[0].view(np.float64).reshape(2 * count, 2 * half)
     diag = np.arange(half)
-    # I_t and i N dI_t / da at every target, summed over the sources with
-    # sign +1 (outer) and -1 (inner)
+    # I and the target-motion sums, over the sources with sign +1 (outer) and -1 (inner)
     induced = np.zeros(2 * half, dtype=np.complex128)
-    d_induced = np.zeros((2 * half, 2 * modes), dtype=np.complex128)
+    sum_p = np.zeros(2 * half, dtype=np.complex128)
+    sum_q = np.zeros(2 * half, dtype=np.complex128)
+    jac = np.empty((2 * modes, 2 * modes))
     for s, sign in ((0, 1.0), (1, -1.0)):
         source, source_dz = z[s], dz[s]
         source_pow = source ** (fold - 1)
-        table = np.subtract((source_pow * source)[None, :], target_m[:, None])
+        np.subtract((source_pow * source)[:, None], target_m[None, :], out=table)
         own = rows[s]  # the targets on the source boundary itself
-        table[diag + own.start, diag] = 1.0  # placeholder; the entry is zeroed below
+        table[diag, diag + own.start] = 1.0  # placeholder; the entry is zeroed below
         np.divide(fold, table, out=table)
-        table[diag + own.start, diag] = 0.0
-        kernel_w = np.conj(source) * source_dz
-        pow_w = source_pow * source_dz
-        low_w = pow_w / source
-        lin = table @ np.column_stack([
-            source_dz[:, None] * shift_conj + np.conj(source)[:, None] * tilt,
-            low_w[:, None] * shift - source_pow[:, None] * tilt,
-            kernel_w,
-            pow_w,
-        ])
-        sq = np.square(table, out=table) @ np.column_stack([
-            (kernel_w * source_pow)[:, None] * shift,
-            low_w[:, None] * shift,
-            kernel_w,
-            pow_w,
-        ])
-        kernel = target_pow * lin[:, -2] - target_conj * lin[:, -1]
-        sum_p = lin[:, -1]
-        sum_q = (fold - 1) * target_pow / target * lin[:, -2] + target_pow * (
-            target_pow * sq[:, -2] - target_conj * sq[:, -1]
-        )
-        d_source = target_pow[:, None] * (
-            lin[:, :modes] - sq[:, :modes]
-        ) + target_conj[:, None] * (
-            lin[:, modes:-2] + target_m[:, None] * sq[:, modes:-2]
-        )
-        ratio = target_dz[own] / target[own]
-        kernel[own] += np.conj(target_dz[own]) - (fold - 1) * target_conj[own] * ratio
-        d_source[own] += tilt_conj[:half] - (fold - 1) * (
-            target_shift_conj * ratio[:, None]
-            + (target_conj[own] / target[own])[:, None]
-            * (target_tilt - ratio[:, None] * target_shift)
-        )
+        table[diag, diag + own.start] = 0.0
+        moved, rho = source_pow * unit, np.conj(source) * unit  # P u, conj(zeta) u
+        pow_ratio = moved * source_dz / source  # L
+        left[0, :, 0] = source_dz * np.conj(unit) + 1j * rho  # A
+        left[0, :, 1] = pow_ratio - 1j * moved  # B
+        left[1, :, 0] = -rho * source_dz * source_pow  # -E
+        left[1, :, 1] = pow_ratio
+        left[2, :, 0] = -rho
+        left[2, :, 1] = moved
+        np.matmul(left.view(np.float64), right.view(np.float64), out=work.view(np.float64))
+        work[1] *= table  # G into work[1], H into work[2]
+        work[1] += work[0]
+        work[1] *= table
+        work[2] *= table
+        np.copyto(real, work[1:].reshape(2 * count, 2 * half).real)
+        projected = (sources @ real).reshape(modes, 2, half) @ sine
+        jac[:, blocks[s]] = sign * projected.reshape(modes, 2 * modes).T
+        weights = np.stack([np.conj(source) * source_dz, source_pow * source_dz])
+        lin = weights @ table
+        sq = weights @ np.square(table, out=table)
+        kernel = target_pow * lin[0] - target_conj * lin[1]
+        kernel[own] += np.conj(target_dz[own]) - turn[own] * target_dz[own]
         induced += sign * kernel
-        d_induced[:, blocks[s]] += sign * d_source
-        p_rows, q_rows = sum_p.reshape(2, half, 1), sum_q.reshape(2, half, 1)
-        motion = target_shift * q_rows - target_shift_conj * p_rows
-        for t in range(2):
-            d_induced[rows[t], blocks[t]] += sign * motion[t]
-    scale = 1.0 / (1j * nodes)
-    induced *= scale
-    d_induced *= scale
-    d_res = np.real(d_induced * target_dz[:, None])
-    jac = np.empty((2 * modes, 2 * modes))
-    for t in range(2):
-        own = rows[t]
-        d_res[own, blocks[t]] += np.real(
-            2.0 * omega * target_shift_conj * target_dz[own, None]
-            + (2.0 * omega * target_conj[own] + induced[own])[:, None] * target_tilt
+        sum_p += sign * lin[1]
+        sum_q += sign * (
+            (fold - 1) * target_pow / target * lin[0]
+            + target_pow * (target_pow * sq[0] - target_conj * sq[1])
         )
-        jac[blocks[t]] = _sine_coefficients(_odd_extension(d_res[own], count), modes)
+    induced /= 1j * nodes
+    # The diagonal blocks add the node under each target and its m - 1
+    # copies, the target motion, and the rotation and kernel terms times
+    # delta z': as Re(x conj(y)) = Re(conj(x) y), Re(alpha delta z' + beta delta z).
+    for t, sign in ((0, 1.0), (1, -1.0)):
+        own = rows[t]
+        w = weight[own]
+        alpha = sign * (np.conj(w) - turn[own] * w) + 2.0 * omega * target_conj[own] + induced[own]
+        beta = np.conj(
+            2.0 * omega * target_dz[own] - (sign * (fold - 1) * ratio[own] + sum_p[own]) * w
+        ) + (sign * turn[own] * ratio[own] + sum_q[own]) * w
+        d_res = np.real(alpha * tilt + beta * shift)
+        jac[blocks[t], blocks[t]] += (d_res @ sine).T
     return jac

@@ -17,6 +17,16 @@ REFERENCE_OMEGA = 0.1520
 REFERENCE_CONFIG = SolverConfig(modes=31, nodes=256)
 
 
+def pytest_configure(config):
+    # Dropping an imaginary part (a complex value assigned to a float
+    # array) fails the suite, whatever the RuntimeWarning rule says.
+    # numpy < 1.25 has no numpy.exceptions.
+    warning = getattr(np, "exceptions", np).ComplexWarning
+    config.addinivalue_line(
+        "filterwarnings", f"error::{warning.__module__}.{warning.__name__}"
+    )
+
+
 @pytest.fixture(scope="session")
 def reference_state():
     """Converged 4-fold state well inside the branch, b = 0.63."""

@@ -20,6 +20,8 @@ sector, where `vstates.jacobian` evaluates half of it.
 equations read out of the full M-mode residual and Jacobian.
 `omega_difference` is `vstates.residual.omega_column` as the
 difference of two assembles one unit of omega apart.
+`odd_extension_coefficients` is the half-sector sine projection of
+`vstates.residual` as the length-N/m transform of the odd extension.
 `all_pairs_distance` is `vstates.boundary_distance` without the
 symmetry.
 """
@@ -31,7 +33,7 @@ import numpy as np
 from vstates import VortexContourCoeffs, assemble, sample
 from vstates.contour import _basis
 from vstates.kernels import kernel_sums
-from vstates.residual import DiscreteResidual, _pointwise, _sine_coefficients, jacobian
+from vstates.residual import DiscreteResidual, _pointwise, jacobian
 from vstates.solver import CURVATURE_AMPLITUDE, CURVATURE_TOL, _inverse_checked
 
 # Below this target-to-node distance the trapezoid sum is meaningless:
@@ -82,6 +84,23 @@ def kernel_integral(targets, source, diagonal: Diagonal):
             )
         return kernel_sums(targets, source.z, source.dz, False)
     raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
+
+
+def _sine_coefficients(values, modes):
+    """First `modes` sine coefficients of samples over one period (axis 0)."""
+    spectrum = np.fft.rfft(values, axis=0)
+    return -2.0 / len(values) * np.imag(spectrum[1 : modes + 1])
+
+
+def odd_extension_coefficients(values, count, modes):
+    """`values @ residual._sine_projection(count, modes)` through the transform.
+
+    Extends the half-sector values (axis 0, the leading count // 2 + 1
+    sector nodes) to all `count` sector nodes as an odd function and
+    projects them with the length-`count` transform.
+    """
+    extended = np.concatenate([values, -values[count - len(values) : 0 : -1]])
+    return _sine_coefficients(extended, modes)
 
 
 def vstate_residual_pointwise(sc, omega):

@@ -288,6 +288,17 @@ def test_sweep_next_to_a_bifurcation_stays_on_the_branch(monkeypatch):
             assert report.converged and not report.trivial
 
 
+def test_sweep_toward_omega_plus_from_below_reaches_its_end():
+    """The warm solve at 0.1674, next to Omega+, needs a bridge and a retry
+    that converges only near the end of its step budget; the sweep still
+    reaches its end point without a spurious termination."""
+    branch = sweep(0.63, 4, 0.1664, 0.1674, 1e-3, CONFIG)
+    assert branch.terminated_at is None
+    assert len(branch.records) == 2
+    for record in branch.records:
+        assert record.report.converged and not record.report.trivial
+
+
 def test_sweep_starting_on_an_eigenvalue(monkeypatch):
     """A sweep that starts exactly on an eigenvalue has no square-root
     offset for its first state; the predictor falls back without a

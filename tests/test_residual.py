@@ -24,10 +24,11 @@ from vstates import (
     perturbed_annulus,
     sample,
 )
-from vstates.residual import omega_column
+from vstates.residual import _sine_projection, omega_column
 from oracles import (
     full_grid_assemble,
     full_source_jacobian,
+    odd_extension_coefficients,
     omega_difference,
     projection_defect,
     vstate_residual_pointwise,
@@ -110,6 +111,33 @@ def test_reconstruction_consistency(rng):
     r1, _ = vstate_residual_pointwise(sample(padded, nodes), 0.18)
     assert np.abs(rebuilt1 - r1[: nodes // 4]).max() < 1e-12
     assert projection_defect(padded, 0.18, nodes) < 1e-12
+
+
+def test_half_sector_sine_matrix_matches_the_odd_extension_transform(rng):
+    """Q projects half-sector values as the odd extension and the length-N/m
+    transform do, for N/m even and odd, one and two modes and the
+    alias-free maximum; its rows at theta = 0 and theta = pi / m are zero."""
+    for fold, nodes in ((4, 256), (12, 768), (3, 123), (5, 165), (1, 65)):
+        count = nodes // fold
+        half = count // 2 + 1
+        for modes in (1, 2, (nodes - 1) // (2 * fold)):
+            sine = _sine_projection(count, modes)
+            assert sine.shape == (half, modes)
+            assert not sine[0].any()
+            if count % 2 == 0:
+                assert not sine[count // 2].any()
+            values = rng.standard_normal((half, 3))
+            expected = odd_extension_coefficients(values, count, modes)
+            scale = np.abs(values).max()
+            assert np.abs(sine.T @ values - expected).max() <= 1e-15 * scale
+
+
+def test_complex_warning_fails_the_suite():
+    """Assigning complex values to a float array drops their imaginary
+    parts; under the suite's warning rules that is an error."""
+    target = np.zeros(2)
+    with pytest.raises(getattr(np, "exceptions", np).ComplexWarning):
+        target[:] = np.array([1.0 + 1e-3j, 2.0])
 
 
 def test_pointwise_residual_is_odd(rng):
