@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .continuation import EmptyBranch, minimum_distance, sweep
 from .contour import VortexContourCoeffs, boundary_distance, perturbed_annulus, sample
-from .dispersion import critical_radius, eigenvalues_for_fold, feasibility
+from .dispersion import _check_inner_radius, critical_radius, eigenvalues_for_fold, feasibility
 from .render import save_svg
 from .solver import (
     GeometryBreakdown,
@@ -65,6 +65,7 @@ def _solver_config(args) -> SolverConfig:
 
 
 def _cmd_dispersion(args) -> int:
+    _check_inner_radius(args.b)  # before any output; feasibility accepts any b
     f = feasibility(args.m, args.b)
     print(f"fold m = {args.m}, inner radius b = {args.b:.17g}")
     print(f"feasibility f_m(b) = {f:.17g}")

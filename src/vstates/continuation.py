@@ -118,6 +118,11 @@ class Branch:
     terminated_at: float | None
 
 
+def _origin(step: float) -> str:
+    """Eigenvalue end a sweep starts from: omega_plus for a negative step."""
+    return "omega_plus" if step < 0.0 else "omega_minus"
+
+
 def _cold_seed(b: float, m: int, modes: int, descending: bool) -> VortexContourCoeffs:
     """Single-mode seed shape for a cold start near one eigenvalue."""
     if descending:
@@ -272,10 +277,9 @@ def sweep(
         When every cold seed fails at omega_start.
     """
     grid = _omega_grid(omega_start, omega_end, omega_step)
-    descending = omega_step < 0.0
-    origin = "omega_plus" if descending else "omega_minus"
+    origin = _origin(omega_step)
     if seed_ladder is None:
-        seed_ladder = [_cold_seed(b, m, config.modes, descending)]
+        seed_ladder = [_cold_seed(b, m, config.modes, omega_step < 0.0)]
 
     first = None
     for seed in seed_ladder:

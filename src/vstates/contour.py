@@ -92,11 +92,6 @@ class VortexContourCoeffs:
             and np.array_equal(self.a2, other.a2)
         )
 
-    @classmethod
-    def annulus(cls, b: float, fold: int, modes: int) -> "VortexContourCoeffs":
-        zeros = np.zeros(modes)
-        return cls(b=b, fold=fold, modes=modes, a1=zeros, a2=zeros)
-
     def as_vector(self) -> FloatArray:
         """Flatten to the solver unknown ordering (a1_1..a1_M, a2_1..a2_M)."""
         return np.concatenate([self.a1, self.a2])

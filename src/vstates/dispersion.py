@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -52,6 +52,16 @@ def _check_inner_radius(b: float) -> None:
         raise ValueError(f"inner radius must lie in (0, 1), got {b}")
 
 
+def _block(n: int, lam: float, b: float) -> tuple[float, float]:
+    """Diagonal terms (outer, inner) of the frequency-n block, for n >= 0
+    and 0 < b < 1: delta_n = outer inner + b^(2n+2)."""
+    if n < 0:
+        raise ValueError(f"frequency must be non-negative, got {n}")
+    _check_inner_radius(b)
+    b2 = b * b
+    return (1.0 - lam) + b2 + n * (b2 - lam), n * (1.0 - lam) - lam
+
+
 def delta(n: int, lam: float, b: float) -> float:
     """Determinant of the frequency-n block of the linearized equations.
 
@@ -69,12 +79,7 @@ def delta(n: int, lam: float, b: float) -> float:
     float
         delta_n(lam, b); zeros in lam mark bifurcation points.
     """
-    if n < 0:
-        raise ValueError(f"frequency must be non-negative, got {n}")
-    _check_inner_radius(b)
-    b2 = b * b
-    outer = (1.0 - lam) + b2 + n * (b2 - lam)
-    inner = n * (1.0 - lam) - lam
+    outer, inner = _block(n, lam, b)
     return outer * inner + b ** (2 * n + 2)
 
 
@@ -93,34 +98,25 @@ def feasibility(m: int, b: float) -> float:
     return 1.0 + b**m - 0.5 * m * (1.0 - b * b)
 
 
-def _bisect(f: Callable[[float], float]) -> float:
-    """Sign change of a monotone f on [0, 1] with f(0) and f(1) of opposite sign.
-
-    Halves the bracket, keeping f <= 0 at one end and f > 0 at the
-    other, until its two ends are adjacent doubles, then returns the end
-    with the smaller |f|.  An exact zero is thus returned as is (b_3 = 1/2).
-    """
-    lo, hi = 0.0, 1.0
-    lo_nonpositive = f(lo) <= 0.0
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if (f(mid) <= 0.0) == lo_nonpositive:
-            lo = mid
-        else:
-            hi = mid
-    return min(lo, hi, key=lambda x: abs(f(x)))
-
-
 def critical_radius(m: int) -> float:
     """Largest inner radius admitting a fold-m eigenvalue pair.
 
-    Returns the unique root of `feasibility` in (0, 1): of the two
-    adjacent doubles that bracket the sign change of f_m, the one with
-    the smaller |f_m|.  Requires m >= 3: folds 1 and 2 have f_m >= 0 on
-    the whole interval and never bifurcate.
+    The unique root of `feasibility` in (0, 1), by bisection: the
+    bracket keeps f_m <= 0 at its lower end and f_m > 0 at its upper
+    end until the two are adjacent doubles, and the end with the smaller
+    |f_m| is returned, so an exact zero comes back as is (b_3 = 1/2).
+    Requires m >= 3: folds 1 and 2 have f_m >= 0 on the whole interval
+    and never bifurcate.
     """
     if m < 3:
         raise ValueError(f"fold must be >= 3, got {m}")
-    return _bisect(lambda b: feasibility(m, b))
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if feasibility(m, mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return min(lo, hi, key=lambda b: abs(feasibility(m, b)))
 
 
 @dataclass(frozen=True)
@@ -231,16 +227,8 @@ def frequency_matrix(n: int, lam: float, b: float) -> FrequencyMatrix:
     exactly at the dispersion roots; the null direction there is
     `kernel_vector`.
     """
-    if n < 0:
-        raise ValueError(f"frequency must be non-negative, got {n}")
-    _check_inner_radius(b)
-    b2 = b * b
-    entries = np.array(
-        [
-            [(1.0 - lam) + b2 + n * (b2 - lam), -(b ** (n + 2))],
-            [b ** (n + 1), b * (n * (1.0 - lam) - lam)],
-        ]
-    )
+    outer, inner = _block(n, lam, b)
+    entries = np.array([[outer, -(b ** (n + 2))], [b ** (n + 1), b * inner]])
     return FrequencyMatrix(n=n, lam=lam, b=b, entries=entries)
 
 
@@ -255,28 +243,23 @@ def kernel_vector(n: int, lam: float, b: float) -> tuple[float, float]:
     ``lam = lambda_plus``, for omega_m^+ ``lam = lambda_minus``
     (lam = 1 - 2 omega).
     """
-    if n < 0:
-        raise ValueError(f"frequency must be non-negative, got {n}")
-    _check_inner_radius(b)
-    return (n * (1.0 - lam) - lam, -(b**n))
+    return (_block(n, lam, b)[1], -(b**n))
 
 
 def double_eigenvalue_locus(n: int, b: float) -> float:
     """Defect function whose root marks a double eigenvalue at frequency n.
 
-    Evaluates ``phi_n(b) = (1 - b^2) n - (1 + b^2) - 2 b^(n + 1)``.
-    phi_n decreases strictly from n - 1 at b = 0 to -4 at b = 1, so for
-    n >= 2 it has exactly one root: the inner radius at which the two
-    frequency-n eigenvalues collide.
+    phi_n(b) = (1 - b^2) n - (1 + b^2) - 2 b^(n + 1) = -2 f_{n+1}(b)
+    (`feasibility`), so for n >= 2 its one root in (0, 1) is the inner
+    radius at which the two frequency-n eigenvalues collide.
     """
     if n < 2:
         raise ValueError(f"frequency must be >= 2, got {n}")
-    b2 = b * b
-    return (1.0 - b2) * n - (1.0 + b2) - 2.0 * b ** (n + 1)
+    return -2.0 * feasibility(n + 1, b)
 
 
 def double_eigenvalue_radius(n: int) -> float:
-    """Unique root of `double_eigenvalue_locus` in (0, 1)."""
+    """Unique root of `double_eigenvalue_locus` in (0, 1): b_{n+1}."""
     if n < 2:
         raise ValueError(f"frequency must be >= 2, got {n}")
-    return _bisect(lambda b: double_eigenvalue_locus(n, b))
+    return critical_radius(n + 1)

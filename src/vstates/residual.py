@@ -44,7 +44,7 @@ import numpy as np
 from . import kernels
 from .contour import FloatArray, SampledContour, VortexContourCoeffs, _basis, _motion, _sample
 
-__all__ = ["DiscreteResidual", "assemble", "jacobian", "omega_column", "residual_sector"]
+__all__ = ["DiscreteResidual", "assemble", "jacobian", "omega_column"]
 
 
 def _pointwise(
@@ -72,24 +72,6 @@ def _pointwise(
     r1 = np.real((two_omega * np.conj(t1) + induced1) * dz1[:targets])
     r2 = np.real((two_omega * np.conj(t2) + induced2) * dz2[:targets])
     return r1, r2
-
-
-def residual_sector(
-    sc: SampledContour, omega: float, fold: int
-) -> tuple[FloatArray, FloatArray]:
-    """Pointwise rotation residual on the half sector of an m-fold shape.
-
-    The contour must have the m-fold and reflection symmetries (m =
-    fold, a divisor of N) that `sample` builds in.  The targets are the
-    leading N/(2m) + 1 nodes of each boundary, 0 <= theta <= pi / m,
-    which determine the rest by symmetry: the residual is odd in theta
-    with period 2 pi / m.  The sources are the leading N/m nodes, and
-    each value is still the trapezoid sum over all N nodes, with the m
-    rotated copies of every sector node summed in closed form.
-    """
-    if fold < 1 or sc.nodes % fold:
-        raise ValueError(f"fold must be a positive divisor of {sc.nodes}, got {fold}")
-    return _pointwise(sc, omega, fold, sc.nodes // (2 * fold) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +133,7 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
         Propagated from sampling when the shape is degenerate.
     """
     count = nodes // coeffs.fold
-    r1, r2 = residual_sector(_sample(coeffs, nodes, count), omega, coeffs.fold)
+    r1, r2 = _pointwise(_sample(coeffs, nodes, count), omega, coeffs.fold, count // 2 + 1)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     sine = _sine_projection(count, coeffs.modes)
     return DiscreteResidual(b1=r1 @ sine, b2=r2 @ sine, max_abs=max_abs)

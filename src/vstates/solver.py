@@ -295,7 +295,7 @@ def newton_solve(
     b: float,
     omega: float,
     m: int,
-    seed: VortexContourCoeffs | None,
+    seed: VortexContourCoeffs,
     config: SolverConfig,
     chord: ChordFactors | None = None,
 ) -> SolveReport:
@@ -306,11 +306,11 @@ def newton_solve(
     b, omega, m : float, float, int
         Inner radius, angular velocity (finite) and symmetry of the
         sought state.
-    seed : VortexContourCoeffs or None
-        Initial shape; None starts from the annulus (and stays on the
-        trivial branch), a first-mode seed is a cold start from the
-        bifurcation predictor (module docstring).  Must carry the same
-        b, fold and mode count as the solve.
+    seed : VortexContourCoeffs
+        Initial shape, required: a first-mode seed is a cold start from
+        the bifurcation predictor (module docstring), and the annulus
+        ``perturbed_annulus(b, m, M)`` stays on the trivial branch.  Must
+        carry the same b, fold and mode count as the solve.
     config : SolverConfig
         Discretization and iteration parameters.
     chord : ChordFactors, optional
@@ -337,8 +337,6 @@ def newton_solve(
     """
     if not np.isfinite(omega):
         raise ValueError(f"omega must be finite, got {omega}")
-    if seed is None:
-        seed = VortexContourCoeffs.annulus(b, m, config.modes)
     if seed.b != b or seed.fold != m or seed.modes != config.modes:
         raise ValueError(
             f"seed shape (b={seed.b}, fold={seed.fold}, modes={seed.modes}) "

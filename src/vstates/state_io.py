@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .contour import FloatArray, VortexContourCoeffs
-from .continuation import Branch
+from .continuation import Branch, _origin
 from .solver import SolveReport
 
 __all__ = [
@@ -370,8 +370,7 @@ def load_branch(path: str | Path) -> BranchFile:
     omega_step = _parse(header["omega_step"], float, "field 'omega_step'", path)
     if omega_step == 0.0:
         raise ValueError(f"{path}: field 'omega_step' must be nonzero")
-    # the eigenvalue end `sweep` starts from, inferred as it does
-    origin = "omega_plus" if omega_step < 0.0 else "omega_minus"
+    origin = _origin(omega_step)
     if header["origin"] != origin:
         raise ValueError(
             f"{path}: field 'origin' must be {origin!r} for omega_step "

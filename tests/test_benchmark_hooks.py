@@ -5,11 +5,13 @@ importing vstates stays cheap and loads no scipy.
 `perfbench/spans.py` wraps each function in its `LAYERS` table, found by
 name, and `perfbench/run.py` records `vstates.kernels.active_backend()`.
 Deleting one of them breaks `perfbench/run.py --trace 1`, so it fails here.
-`perfbench/run.py` also counts the import of vstates in `setup_s`.
+`perfbench/run.py` also counts the import of vstates in `setup_s`.  One
+round of each workload, traced once, must run and check its outputs.
 """
 
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -72,6 +74,28 @@ def test_oracles_stay_out_of_the_package():
     for module in modules:
         leaked = {name for name in defined if hasattr(module, name)}
         assert not leaked, f"{module.__name__} has {sorted(leaked)}"
+
+
+@pytest.mark.parametrize(
+    "workload, trace",
+    [("cold-solve", 0), ("cold-solve", 1), ("branch-sweep", 0), ("branch-end", 0),
+     ("grid-refinement", 0)],
+)
+def test_benchmark_round_is_correct(workload, trace):
+    """One round of the workload, which writes only under .bench_out/:
+    correct outputs, and no failed operation except on branch-end,
+    where every operation is a sweep that is meant to fail."""
+    command = [
+        sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+        "--seconds", "0", "--seed", "1", "--trace", str(trace),
+    ]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, done.stderr
+    expected = result["attempted"] if workload == "branch-end" else 0
+    assert result["failed"] == expected, done.stderr
 
 
 def test_active_backend_exists():

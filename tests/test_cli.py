@@ -62,9 +62,12 @@ def test_flag_errors_exit_with_usage_code(capsys):
 
 
 def test_domain_errors_exit_with_usage_code(capsys):
-    code, _, err = run(capsys, "dispersion", "--m", "4", "--b", "1.5")
-    assert code == EXIT_USAGE
-    assert "error" in err
+    # b is checked before anything is printed, at a fold with or without a pair
+    for fold in ("4", "2"):
+        code, out, err = run(capsys, "dispersion", "--m", fold, "--b", "1.5")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "inner radius must lie in (0, 1), got 1.5" in err
 
 
 def test_solve_writes_state(tmp_path, capsys):

@@ -260,6 +260,14 @@ def test_secant_follows_the_square_root_law_next_to_the_annulus(monkeypatch):
     assert np.array_equal(seed, _linear_in_omega(toward, between))
     assert continuation._secant(toward[1:], between) is inner
 
+    # an earlier state on the far side of omega_minus, or no eigenvalue
+    # pair at all (b past the critical radius): linear in omega
+    across = [(OMEGA_MINUS - 5e-4, inner), (far, outer)]
+    seed = continuation._secant(across, omega).as_vector()
+    assert np.array_equal(seed, _linear_in_omega(across, omega))
+    past = perturbed_annulus(0.8, 4, 31, a1_1=-0.003, a2_1=-0.028)
+    assert continuation._secant([(far, past)], omega) is past
+
     monkeypatch.setattr(continuation, "_near_annulus", lambda coeffs: False)
     seed = continuation._secant(known, omega).as_vector()
     assert np.array_equal(seed, _linear_in_omega(known, omega))
@@ -316,7 +324,7 @@ def test_distance_profile_and_minimum():
     coeffs = perturbed_annulus(0.6, 4, 2)
     fake = lambda omega, distance: BranchRecord(
         omega=omega,
-        report=newton_solve(0.6, omega, 4, None, SolverConfig(modes=2, nodes=64)),
+        report=newton_solve(0.6, omega, 4, coeffs, SolverConfig(modes=2, nodes=64)),
         distance=distance,
     )
     branch = Branch(

@@ -75,6 +75,7 @@ def test_coefficients_compare_by_value():
     assert shape != perturbed_annulus(0.5, 4, 3, a1_1=0.01)
     assert shape != perturbed_annulus(0.6, 3, 3, a1_1=0.01)
     assert shape != perturbed_annulus(0.6, 4, 4, a1_1=0.01)
+    assert shape != "annulus"
     sc = sample(shape, 48)
     assert sc == sc and sc != sample(shape, 48)
 

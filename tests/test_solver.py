@@ -34,6 +34,8 @@ from oracles import full_block_curvature, full_grid_assemble
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(modes=0, nodes=64)
+    with pytest.raises(ValueError, match="nodes must be positive"):
+        SolverConfig(modes=4, nodes=0)
     for tol in (-1e-12, float("inf")):
         with pytest.raises(ValueError):
             SolverConfig(modes=4, nodes=64, tol=tol)
@@ -52,7 +54,7 @@ def test_default_modes_rule():
 
 def test_annulus_seed_returns_trivial_root():
     config = SolverConfig(modes=8, nodes=128)
-    report = newton_solve(0.5, 0.2, 4, None, config)
+    report = newton_solve(0.5, 0.2, 4, perturbed_annulus(0.5, 4, 8), config)
     assert report.trivial and report.converged
     assert report.iterations <= 1
     assert report.residual_max < 1e-13
@@ -227,6 +229,9 @@ def test_cold_start_keeps_seeds_it_cannot_place():
     assert _cold_start(warm, 0.15, config) is warm
     annulus = perturbed_annulus(0.63, 4, 15)
     assert _cold_start(annulus, 0.15, config) is annulus
+    # no eigenvalue pair: b past the critical radius
+    past = perturbed_annulus(0.8, 4, 15, a1_1=0.06)
+    assert _cold_start(past, 0.15, config) is past
 
 
 def test_max_iter_exhaustion_is_a_report_not_an_error():

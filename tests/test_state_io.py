@@ -196,6 +196,9 @@ def test_branch_terminated_marker(tmp_path):
     loaded = load_branch(path)
     assert loaded.terminated_at == 0.1695
     assert len(loaded.rows) == 1
+    # blank lines, anywhere, are skipped
+    path.write_text("\n" + text.replace("\n", "\n  \n"))
+    assert load_branch(path) == loaded
 
 
 def test_branch_rejects_malformed_rows(tmp_path):
