@@ -34,16 +34,28 @@ __all__ = [
 STATE_FORMAT = "vstate"
 BRANCH_FORMAT = "vstate-branch"
 SCHEMA_VERSION = 1
-# Fields a reader needs beyond the format and schema_version
+# Each format as (name, kind) in file order, after the format and
+# schema_version lines, and in the order of its dataclass's fields; the
+# writers and the readers iterate these.  A list is the `modes`
+# coefficients of one boundary.
 _STATE_FIELDS = (
-    "b", "m", "omega", "modes", "nodes", "a1", "a2",
-    "residual_max", "iterations", "converged",
+    ("b", float), ("m", int), ("omega", float), ("modes", int), ("nodes", int),
+    ("a1", list), ("a2", list),
+    ("residual_max", float), ("iterations", int), ("converged", bool),
 )
-_BRANCH_FIELDS = ("b", "m", "origin", "omega_step", "modes", "nodes")
-_BRANCH_COLUMNS = ("omega", "distance", "iterations", "a1_1", "a2_1", "converged")
-_ROW_KINDS = (float, float, int, float, float)  # the numeric columns, in order
-# The fields both loaders pass to _check_ranges, in its argument order
-_RANGED_FIELDS = (("b", float), ("m", int), ("modes", int), ("nodes", int))
+_BRANCH_FIELDS = (
+    ("b", float), ("m", int), ("origin", str), ("omega_step", float),
+    ("modes", int), ("nodes", int),
+)
+_BRANCH_COLUMNS = (
+    ("omega", float), ("distance", float), ("iterations", int),
+    ("a1_1", float), ("a2_1", float), ("converged", bool),
+)
+# The header fields both loaders read and check first: b, then the counts
+_RANGED_FIELDS = ("b", "m", "modes", "nodes")
+# A branch's end: its omega in the first column, this in the last, the
+# columns between empty
+_TERMINATED = "terminated"
 
 
 def _fmt(x: float) -> str:
@@ -53,11 +65,14 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
-def _require(fields: dict, keys: tuple[str, ...], path: str | Path) -> None:
-    """Raise ValueError naming the file and the first of `keys` it lacks."""
-    for key in keys:
-        if key not in fields:
-            raise ValueError(f"{path}: missing field {key!r}")
+def _text(value, kind: type) -> str:
+    """One value as both formats write it: a float to 17 digits, a bool
+    as true or false, an int or a string as is."""
+    if kind is float:
+        return _fmt(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return str(value)
 
 
 def _is_number(value) -> bool:
@@ -96,8 +111,15 @@ def _coefficients(raw: dict, key: str, modes: int, path: str | Path) -> FloatArr
 
 
 def _parse(text: str, kind: type, where: str, path: str | Path):
-    """text as a finite float or an int; ValueError naming the file and
-    `where` (the field, or the row and column) when it is anything else."""
+    """text as a finite float, an int, true or false, or a string;
+    ValueError naming the file and `where` (the field, or the row and
+    column) when it is anything else."""
+    if kind is str:
+        return text
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"{path}: {where} is not true or false: {text!r}")
+        return text == "true"
     try:
         value = kind(text)
         valid = kind is int or math.isfinite(value)
@@ -108,14 +130,36 @@ def _parse(text: str, kind: type, where: str, path: str | Path):
     return value
 
 
-def _check_ranges(path: str | Path, b: float, m: int, modes: int, nodes: int) -> None:
-    """Raise ValueError naming the file and the first field out of range:
-    b outside (0, 1), or m, modes or nodes below 1."""
-    if not 0.0 < b < 1.0:
-        raise ValueError(f"{path}: field 'b' must lie in (0, 1), got {b!r}")
-    for key, value in (("m", m), ("modes", modes), ("nodes", nodes)):
-        if value < 1:
-            raise ValueError(f"{path}: field {key!r} must be at least 1, got {value}")
+def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
+    """The fields of `table`, typed by read(key, kind), after the steps
+    both loaders share; ValueError names the file and the first fault:
+    a schema_version other than SCHEMA_VERSION, a missing field, or a
+    ranged field (read first) out of range: b outside (0, 1), or m,
+    modes or nodes below 1."""
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported schema_version {version}")
+    for key, _ in table:
+        if key not in found:
+            raise ValueError(f"{path}: missing field {key!r}")
+    kinds = dict(table)
+    fields = {key: read(key, kinds[key]) for key in _RANGED_FIELDS}
+    if not 0.0 < fields["b"] < 1.0:
+        raise ValueError(f"{path}: field 'b' must lie in (0, 1), got {fields['b']!r}")
+    for key in _RANGED_FIELDS[1:]:
+        if fields[key] < 1:
+            raise ValueError(f"{path}: field {key!r} must be at least 1, got {fields[key]}")
+    fields.update((key, read(key, kind)) for key, kind in table if key not in fields)
+    return dict(fields, schema_version=version)
+
+
+def _unique(pairs: list) -> dict:
+    """A JSON object as a dict; KeyError names a key stated twice."""
+    fields = {}
+    for key, value in pairs:
+        if key in fields:
+            raise KeyError(key)
+        fields[key] = value
+    return fields
 
 
 def _timestamp() -> str:
@@ -163,57 +207,39 @@ class StateFile:
         )
 
 
-def _state_document(state: StateFile, timestamp: bool) -> str:
-    lines = ["{"]
-    lines.append(f'  "format": "{STATE_FORMAT}",')
-    lines.append(f'  "schema_version": {state.schema_version},')
-    if timestamp:
-        lines.append(f'  "created": "{_timestamp()}",')
-    lines.append(f'  "b": {_fmt(state.b)},')
-    lines.append(f'  "m": {state.m},')
-    lines.append(f'  "omega": {_fmt(state.omega)},')
-    lines.append(f'  "modes": {state.modes},')
-    lines.append(f'  "nodes": {state.nodes},')
-    for name, values in (("a1", state.a1), ("a2", state.a2)):
-        body = ",\n".join(f"    {_fmt(v)}" for v in values)
-        lines.append(f'  "{name}": [\n{body}\n  ],')
-    lines.append(f'  "residual_max": {_fmt(state.residual_max)},')
-    lines.append(f'  "iterations": {state.iterations},')
-    lines.append(f'  "converged": {"true" if state.converged else "false"}')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def save_state(path: str | Path, state: StateFile, timestamp: bool = True) -> None:
-    Path(path).write_text(_state_document(state, timestamp))
+    entries = [f'"format": "{STATE_FORMAT}"', f'"schema_version": {state.schema_version}']
+    if timestamp:
+        entries.append(f'"created": "{_timestamp()}"')
+    for name, kind in _STATE_FIELDS:
+        value = getattr(state, name)
+        if kind is list:
+            body = ",\n".join(f"    {_fmt(v)}" for v in value)
+            entries.append(f'"{name}": [\n{body}\n  ]')
+        else:
+            entries.append(f'"{name}": {_text(value, kind)}')
+    document = ",\n".join(f"  {entry}" for entry in entries)
+    Path(path).write_text("{\n" + document + "\n}\n")
 
 
 def load_state(path: str | Path) -> StateFile:
+    """Read a StateFile; ValueError names the file and the field."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), object_pairs_hook=_unique)
+    except KeyError as exc:
+        raise ValueError(f"{path}: field {exc.args[0]!r} is stated twice") from None
     except ValueError as exc:  # malformed JSON or undecodable bytes
         raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
         raise ValueError(f"{path}: not a {STATE_FORMAT} document")
-    version = raw.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema_version {version}")
-    _require(raw, _STATE_FIELDS, path)
-    b, m, modes, nodes = (_typed(raw, key, kind, path) for key, kind in _RANGED_FIELDS)
-    _check_ranges(path, b, m, modes, nodes)
-    return StateFile(
-        schema_version=version,
-        b=b,
-        m=m,
-        omega=_typed(raw, "omega", float, path),
-        modes=modes,
-        nodes=nodes,
-        a1=_coefficients(raw, "a1", modes, path),
-        a2=_coefficients(raw, "a2", modes, path),
-        residual_max=_typed(raw, "residual_max", float, path),
-        iterations=_typed(raw, "iterations", int, path),
-        converged=_typed(raw, "converged", bool, path),
-    )
+
+    def read(key: str, kind: type):
+        if kind is list:  # after the ranged fields, so modes is valid
+            return _coefficients(raw, key, raw["modes"], path)
+        return _typed(raw, key, kind, path)
+
+    fields = _read_table(path, raw.get("schema_version"), raw, _STATE_FIELDS, read)
+    return StateFile(**fields)
 
 
 @dataclass(frozen=True)
@@ -269,44 +295,28 @@ class BranchFile:
 
 
 def save_branch(path: str | Path, bf: BranchFile, timestamp: bool = True) -> None:
-    lines = [
-        f"# format: {BRANCH_FORMAT}",
-        f"# schema_version: {bf.schema_version}",
-    ]
+    lines = [f"# format: {BRANCH_FORMAT}", f"# schema_version: {bf.schema_version}"]
     if timestamp:
         lines.append(f"# created: {_timestamp()}")
+    lines += [f"# {name}: {_text(getattr(bf, name), kind)}" for name, kind in _BRANCH_FIELDS]
+    lines.append(",".join(name for name, _ in _BRANCH_COLUMNS))
     lines += [
-        f"# b: {_fmt(bf.b)}",
-        f"# m: {bf.m}",
-        f"# origin: {bf.origin}",
-        f"# omega_step: {_fmt(bf.omega_step)}",
-        f"# modes: {bf.modes}",
-        f"# nodes: {bf.nodes}",
-        ",".join(_BRANCH_COLUMNS),
+        ",".join(_text(getattr(row, name), kind) for name, kind in _BRANCH_COLUMNS)
+        for row in bf.rows
     ]
-    for row in bf.rows:
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.omega),
-                    _fmt(row.distance),
-                    str(row.iterations),
-                    _fmt(row.a1_1),
-                    _fmt(row.a2_1),
-                    "true" if row.converged else "false",
-                )
-            )
-        )
     if bf.terminated_at is not None:
-        lines.append(f"{_fmt(bf.terminated_at)},,,,,terminated")
+        empty = [""] * (len(_BRANCH_COLUMNS) - 2)
+        lines.append(",".join([_fmt(bf.terminated_at), *empty, _TERMINATED]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_branch(path: str | Path) -> BranchFile:
-    """Read a BranchFile that `sweep` could have produced: the origin
-    matches the sign of omega_step, every row (the terminated marker
-    included) moves omega strictly in that direction, and nothing
-    follows the marker.  ValueError names the file and field or row."""
+    """Read a BranchFile that `sweep` could have produced: each header
+    field stated once, before the column row; the origin matches the
+    sign of omega_step, every row (the terminated marker included) moves
+    omega strictly in that direction, and nothing follows the marker.
+    ValueError names the file and field or row."""
+    columns = ",".join(name for name, _ in _BRANCH_COLUMNS)
     header: dict[str, str] = {}
     rows: list[BranchRow] = []
     omegas: list[tuple[float, str]] = []  # (omega, line) of each row
@@ -320,76 +330,56 @@ def load_branch(path: str | Path) -> BranchFile:
         if not line.strip():
             continue
         if line.startswith("#"):
-            key, _, value = line[1:].partition(":")
-            header[key.strip()] = value.strip()
+            if saw_columns:
+                raise ValueError(f"{path}: header line {line!r} follows the column row")
+            key, _, value = (part.strip() for part in line[1:].partition(":"))
+            if key in header:
+                raise ValueError(f"{path}: field {key!r} is stated twice")
+            header[key] = value
             continue
         if not saw_columns:
-            if line.strip() != ",".join(_BRANCH_COLUMNS):
+            if line.strip() != columns:
                 raise ValueError(f"{path}: unexpected column row {line!r}")
             saw_columns = True
             continue
         if terminated_at is not None:
             raise ValueError(f"{path}: row {line!r} follows the terminated marker")
         fields = line.split(",")
-        if len(fields) != 6:
+        if len(fields) != len(_BRANCH_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
-        where = f"row {line!r} column"
-        if fields[5] == "terminated":
-            terminated_at = _parse(fields[0], float, f"{where} 'omega'", path)
-            omegas.append((terminated_at, line))
-            continue
-        omega, distance, iterations, a1_1, a2_1 = (
-            _parse(text, kind, f"{where} {name!r}", path)
-            for text, kind, name in zip(fields, _ROW_KINDS, _BRANCH_COLUMNS)
-        )
-        if fields[5] not in ("true", "false"):
-            raise ValueError(
-                f"{path}: {where} 'converged' is not true or false: {fields[5]!r}"
-            )
-        omegas.append((omega, line))
-        rows.append(
-            BranchRow(
-                omega=omega,
-                distance=distance,
-                iterations=iterations,
-                a1_1=a1_1,
-                a2_1=a2_1,
-                converged=fields[5] == "true",
-            )
-        )
+        marker = fields[-1] == _TERMINATED
+        values = [
+            _parse(field, kind, f"row {line!r} column {name!r}", path)
+            for field, (name, kind) in zip(fields[: 1 if marker else None], _BRANCH_COLUMNS)
+        ]
+        omegas.append((values[0], line))  # the first column is omega
+        if marker:
+            terminated_at = values[0]
+        else:
+            rows.append(BranchRow(*values))
     if header.get("format") != BRANCH_FORMAT:
         raise ValueError(f"{path}: not a {BRANCH_FORMAT} document")
     version = _parse(header.get("schema_version", "-1"), int, "field 'schema_version'", path)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema_version {version}")
-    _require(header, _BRANCH_FIELDS, path)
-    b, m, modes, nodes = (
-        _parse(header[key], kind, f"field {key!r}", path) for key, kind in _RANGED_FIELDS
-    )
-    _check_ranges(path, b, m, modes, nodes)
-    omega_step = _parse(header["omega_step"], float, "field 'omega_step'", path)
+
+    def read(key: str, kind: type):
+        return _parse(header[key], kind, f"field {key!r}", path)
+
+    fields = _read_table(path, version, header, _BRANCH_FIELDS, read)
+    omega_step = fields["omega_step"]
     if omega_step == 0.0:
         raise ValueError(f"{path}: field 'omega_step' must be nonzero")
     origin = _origin(omega_step)
-    if header["origin"] != origin:
+    if fields["origin"] != origin:
         raise ValueError(
             f"{path}: field 'origin' must be {origin!r} for omega_step "
-            f"{omega_step!r}, got {header['origin']!r}"
+            f"{omega_step!r}, got {fields['origin']!r}"
         )
+    if not saw_columns:
+        raise ValueError(f"{path}: missing the column row {columns!r}")
     for (before, _), (omega, line) in zip(omegas, omegas[1:]):
         if not (omega - before) * omega_step > 0.0:
             raise ValueError(
                 f"{path}: row {line!r} does not move omega past {before!r} "
                 f"in the direction of omega_step {omega_step!r}"
             )
-    return BranchFile(
-        schema_version=version,
-        b=b,
-        m=m,
-        origin=origin,
-        omega_step=omega_step,
-        modes=modes,
-        nodes=nodes,
-        rows=rows,
-        terminated_at=terminated_at,
-    )
+    return BranchFile(**fields, rows=rows, terminated_at=terminated_at)

@@ -10,6 +10,8 @@ from vstates import (
     BranchRecord,
     EmptyBranch,
     SolverConfig,
+    critical_radius,
+    default_modes,
     distance_profile,
     eigenvalues_for_fold,
     minimum_distance,
@@ -318,6 +320,48 @@ def test_sweep_starting_on_an_eigenvalue(monkeypatch):
     for branch in (ascending, descending):
         assert len(branch.records) == 3
         assert branch.terminated_at is None
+
+
+# The branch probe: for each fold m and inner radius b = fraction * b_m,
+# one sweep inward from each eigenvalue end (omega_minus ascending,
+# omega_plus descending) over 12 grid points, from 1e-3 inside the end
+# over 10.5 steps of 1e-3, at N = 64m and the default M.
+BRANCH_PROBE = [
+    (m, fraction, step)
+    for m in (3, 4, 5, 6, 8)
+    for fraction in (0.3, 0.6, 0.9)
+    for step in (1e-3, -1e-3)
+]
+# (m, fraction, origin) of the probe sweeps that stop before the end of
+# their grid; where they stop is reported, not pinned.
+PROBE_STOPPERS = {
+    (8, 0.3, "omega_minus"),
+    (8, 0.6, "omega_minus"),
+    (8, 0.3, "omega_plus"),
+    (8, 0.9, "omega_plus"),
+}
+
+
+def test_branch_probe_sweeps_cover_their_grids():
+    """Every probe sweep but the known stoppers traces all 12 grid points."""
+    stopped = {}
+    for m, fraction, step in BRANCH_PROBE:
+        b = fraction * critical_radius(m)
+        point = eigenvalues_for_fold(m, b)
+        start = (point.omega_minus if step > 0 else point.omega_plus) + step
+        nodes = 64 * m
+        config = SolverConfig(modes=default_modes(m, nodes), nodes=nodes)
+        branch = sweep(b, m, start, start + 10.5 * step, step, config)
+        if branch.terminated_at is None:
+            assert len(branch.records) == 12
+        else:
+            stopped[(m, fraction, branch.origin)] = (
+                len(branch.records), branch.terminated_at
+            )
+    print(f"branch probe: {len(BRANCH_PROBE) - len(stopped)} of {len(BRANCH_PROBE)} full")
+    for key, (records, omega) in sorted(stopped.items()):
+        print(f"  m, fraction of b_m, origin {key}: {records} records, stops at {omega:.5f}")
+    assert set(stopped) <= PROBE_STOPPERS
 
 
 def test_distance_profile_and_minimum():

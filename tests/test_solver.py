@@ -18,9 +18,11 @@ from vstates import (
     newton_solve,
     perturbed_annulus,
 )
+from vstates.contour import InvalidContour
 from vstates.residual import jacobian
 from vstates.solver import (
     MIN_PIVOT,
+    ChordFactors,
     _branch_curvature,
     _cold_start,
     _inverse_checked,
@@ -232,6 +234,40 @@ def test_cold_start_keeps_seeds_it_cannot_place():
     # no eigenvalue pair: b past the critical radius
     past = perturbed_annulus(0.8, 4, 15, a1_1=0.06)
     assert _cold_start(past, 0.15, config) is past
+
+
+def test_polish_that_leaves_the_contours_keeps_the_converged_state(
+    monkeypatch, reference_state
+):
+    """A chord solve that reaches tol takes one more step to polish its
+    state; when that step is not a valid contour, the solve returns the
+    state it had converged to."""
+    omega = REFERENCE_OMEGA + 1e-3
+    polished = newton_solve(
+        REFERENCE_B, omega, REFERENCE_M, reference_state.coeffs, REFERENCE_CONFIG, ChordFactors()
+    )
+    certified = []  # (coeffs, residual) of each assemble below tol
+    polish = []  # the shape of the next assemble after one: the polish step
+
+    def failing_polish(coeffs, omega, nodes):
+        if certified and not polish:
+            polish.append(coeffs)
+            raise InvalidContour("polish step left the valid shapes")
+        residual = assemble(coeffs, omega, nodes)
+        if residual.max_abs < REFERENCE_CONFIG.tol:
+            certified.append((coeffs, residual))
+        return residual
+
+    monkeypatch.setattr("vstates.solver.assemble", failing_polish)
+    report = newton_solve(
+        REFERENCE_B, omega, REFERENCE_M, reference_state.coeffs, REFERENCE_CONFIG, ChordFactors()
+    )
+    assert polish and report.converged and not report.trivial
+    before, residual = certified[0]
+    assert np.array_equal(report.coeffs.as_vector(), before.as_vector())
+    assert report.residual_max == residual.max_abs
+    assert report.iterations == polished.iterations - 1
+    assert report.residual_history == polished.residual_history[:-1]
 
 
 def test_max_iter_exhaustion_is_a_report_not_an_error():

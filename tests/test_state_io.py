@@ -37,6 +37,77 @@ def test_state_roundtrip_bit_exact(tmp_path, reference_state):
     assert np.array_equal(np.asarray(loaded.a2), np.asarray(state.a2))
 
 
+GOLDEN_STATE = """\
+{
+  "format": "vstate",
+  "schema_version": 1,
+  "b": 0.63,
+  "m": 4,
+  "omega": 0.152,
+  "modes": 2,
+  "nodes": 256,
+  "a1": [
+    0.035000000000000003,
+    -0.001
+  ],
+  "a2": [
+    -0.059999999999999998,
+    2.4999999999999999e-20
+  ],
+  "residual_max": 2.9999999999999998e-14,
+  "iterations": 6,
+  "converged": true
+}
+"""
+
+GOLDEN_BRANCH = """\
+# format: vstate-branch
+# schema_version: 1
+# b: 0.59999999999999998
+# m: 4
+# origin: omega_plus
+# omega_step: -0.00050000000000000001
+# modes: 63
+# nodes: 512
+omega,distance,iterations,a1_1,a2_1,converged
+0.19,0.29999999999999999,7,0.050000000000000003,-0.040000000000000001,true
+0.1895,0.28999999999999998,12,0.059999999999999998,-0.050000000000000003,false
+0.189,,,,,terminated
+"""
+
+
+def test_state_file_golden_bytes(tmp_path):
+    """The StateFile layout, byte for byte: field order, indentation and
+    17-digit floats."""
+    state = StateFile(
+        schema_version=1, b=0.63, m=4, omega=0.152, modes=2, nodes=256,
+        a1=np.array([0.035, -1e-3]), a2=np.array([-0.06, 2.5e-20]),
+        residual_max=3e-14, iterations=6, converged=True,
+    )
+    path = tmp_path / "golden.json"
+    save_state(path, state, timestamp=False)
+    assert path.read_text() == GOLDEN_STATE
+    loaded = load_state(path)
+    assert loaded.a2[1] == 2.5e-20 and loaded.residual_max == 3e-14
+
+
+def test_branch_file_golden_bytes(tmp_path):
+    """The BranchFile layout, byte for byte: header, column row, rows and
+    the terminated marker."""
+    rows = [
+        BranchRow(omega=0.19, distance=0.3, iterations=7, a1_1=0.05, a2_1=-0.04, converged=True),
+        BranchRow(omega=0.1895, distance=0.29, iterations=12, a1_1=0.06, a2_1=-0.05, converged=False),
+    ]
+    bf = BranchFile(
+        schema_version=1, b=0.6, m=4, origin="omega_plus", omega_step=-5e-4,
+        modes=63, nodes=512, rows=rows, terminated_at=0.189,
+    )
+    path = tmp_path / "golden.csv"
+    save_branch(path, bf, timestamp=False)
+    assert path.read_text() == GOLDEN_BRANCH
+    assert load_branch(path) == bf
+
+
 def test_state_coefficients_rebuild_the_contour(reference_state):
     state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
     coeffs = state.coefficients()
@@ -92,6 +163,10 @@ def test_state_file_validation(tmp_path, reference_state):
 
     bad.write_text("not json\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a JSON document"):
+        load_state(bad)
+
+    bad.write_text(path.read_text().replace('"b": 0.63,', '"b": 0.63,\n  "b": 0.5,'))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field 'b' is stated twice"):
         load_state(bad)
 
 
@@ -251,6 +326,17 @@ def test_branch_rejects_malformed_rows(tmp_path):
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
+            load_branch(path)
+
+    # each header field once, before the column row, and a column row
+    columns = "omega,distance,iterations,a1_1,a2_1,converged\n"
+    for text, where in (
+        (document() + "# b: 0.7\n# m: 8\n", "header line '# b: 0.7' follows the column row"),
+        (document().replace("# m: 4\n", "# m: 4\n# m: 8\n"), "field 'm' is stated twice"),
+        (document(row="").replace(columns, ""), "missing the column row"),
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {where}"):
             load_branch(path)
 
 
