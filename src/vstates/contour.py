@@ -14,7 +14,7 @@ makes the fundamental sector an exact subsampling and lets downstream
 quadrature exploit the symmetry.  `sample` evaluates all N nodes, for
 `boundary_distance` and the full-grid checks; the residual and its
 Jacobian read only the fundamental sector, the leading N/m nodes, and
-sample just those, bit for bit the same values.
+sample just those, bit for bit the same values, once per shape.
 """
 
 from __future__ import annotations
@@ -218,7 +218,13 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
         cross; the message names the violated constraint and an
         offending angle.
     """
-    return _sample(coeffs, nodes, nodes)
+    return _evaluate(coeffs, nodes, nodes)
+
+
+# The last call of `_sample`: (shape, (N, rows), its sample).  Holding the
+# shape keeps its id from being reused while the entry stands.  Threads
+# may replace each other's entry, but a hit is always the given shape's.
+_last_sample = None
 
 
 def _sample(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContour:
@@ -226,8 +232,25 @@ def _sample(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContou
 
     The values are bit for bit the leading rows of `sample(coeffs,
     nodes)`, and the geometry checks see only these rows, so an
-    `InvalidContour` names an angle below 2 pi rows / N.
+    `InvalidContour` names an angle below 2 pi rows / N.  A call on the
+    same shape object and (N, rows) as the last one returns the last
+    sample, whose arrays are read-only: `assemble`, `jacobian` and
+    `omega_column` on one Newton iterate sample it once.  A shape is
+    frozen, so its identity fixes its values.
     """
+    global _last_sample
+    last = _last_sample
+    if last is not None and last[0] is coeffs and last[1] == (nodes, rows):
+        return last[2]
+    sc = _evaluate(coeffs, nodes, rows)
+    for values in (sc.z1, sc.z2, sc.dz1, sc.dz2):
+        values.setflags(write=False)
+    _last_sample = (coeffs, (nodes, rows), sc)
+    return sc
+
+
+def _evaluate(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContour:
+    """The leading `rows` nodes of `sample`, evaluated afresh."""
     m, M = coeffs.fold, coeffs.modes
     if nodes < 2 * m * M + 1:
         raise ValueError(

@@ -54,20 +54,24 @@ def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
     target_z = np.asarray(target_z, dtype=np.complex128)
     source_z = np.asarray(source_z, dtype=np.complex128)
     source_dz = np.asarray(source_dz, dtype=np.complex128)
+    count = len(source_z)
     target_pow = target_z ** (fold - 1)
     source_pow = source_z ** (fold - 1)
     # 1 / (zeta^m - z^m), the only (targets x sector) table, built in place
     table = np.subtract((source_pow * source_z)[None, :], (target_pow * target_z)[:, None])
     if self_source:
-        idx = np.arange(len(target_z))
-        table[idx, idx] = 1.0  # placeholder; the entry is zeroed below
+        # entry (i, i) of each target row, a view
+        diag = table.reshape(-1)[:: count + 1]
+        diag[:] = 1.0  # placeholder; the entry is zeroed below
     np.reciprocal(table, out=table)
     if self_source:
-        table[idx, idx] = 0.0
-    weights = np.stack([np.conj(source_z) * source_dz, source_pow * source_dz], axis=1)
+        diag[:] = 0.0
+    weights = np.empty((count, 2), dtype=np.complex128)
+    np.multiply(np.conj(source_z), source_dz, out=weights[:, 0])
+    np.multiply(source_pow, source_dz, out=weights[:, 1])
     sums = table @ weights
     total = fold * (target_pow * sums[:, 0] - np.conj(target_z) * sums[:, 1])
     if self_source:
-        dz = source_dz[idx]
+        dz = source_dz[: len(target_z)]
         total += np.conj(dz) - (fold - 1) * np.conj(target_z) * dz / target_z
-    return total / (1j * fold * len(source_z))
+    return total / (1j * fold * count)

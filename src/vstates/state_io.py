@@ -133,11 +133,11 @@ def _parse(text: str, kind: type, where: str, path: str | Path):
 def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
     """The fields of `table`, typed by read(key, kind), after the steps
     both loaders share; ValueError names the file and the first fault:
-    a schema_version other than SCHEMA_VERSION, a missing field, or a
-    ranged field (read first) out of range: b outside (0, 1), or m,
-    modes or nodes below 1."""
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema_version {version}")
+    a schema_version that is not the int SCHEMA_VERSION (true and 1.0
+    are not), a missing field, or a ranged field (read first) out of
+    range: b outside (0, 1), or m, modes or nodes below 1."""
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"{path}: unsupported schema_version {version!r}")
     for key, _ in table:
         if key not in found:
             raise ValueError(f"{path}: missing field {key!r}")
@@ -348,6 +348,8 @@ def load_branch(path: str | Path) -> BranchFile:
         if len(fields) != len(_BRANCH_COLUMNS):
             raise ValueError(f"{path}: malformed row {line!r}")
         marker = fields[-1] == _TERMINATED
+        if marker and any(fields[1:-1]):
+            raise ValueError(f"{path}: terminated marker {line!r} has values between its ends")
         values = [
             _parse(field, kind, f"row {line!r} column {name!r}", path)
             for field, (name, kind) in zip(fields[: 1 if marker else None], _BRANCH_COLUMNS)

@@ -1,11 +1,14 @@
 """Projection of the pointwise residual onto the sine basis, and its Jacobian."""
 
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vstates.contour
 import vstates.kernels
 import vstates.residual
 import vstates.solver
@@ -83,6 +86,99 @@ def test_assemble_sums_over_sector_sources(monkeypatch):
     assert shapes == [(sector // 2 + 1, sector)] * 4  # half-sector targets
     jacobian(shape, 0.09011, nodes)
     assert len(sampled) == 8 and max(sampled) <= sector
+
+
+def test_one_newton_step_samples_its_shape_once(monkeypatch):
+    """`assemble`, then `jacobian` and `omega_column` on the same shape
+    evaluate its sector sample once."""
+    evaluated = []
+    evaluate = vstates.contour._evaluate
+
+    def counting(coeffs, nodes, rows):
+        evaluated.append((nodes, rows))
+        return evaluate(coeffs, nodes, rows)
+
+    monkeypatch.setattr(vstates.contour, "_evaluate", counting)
+    shape = perturbed_annulus(0.85, 12, 31, a1_1=0.06)
+    assemble(shape, 0.09011, 768)
+    jacobian(shape, 0.09011, 768)
+    omega_column(shape, 768)
+    assert evaluated == [(768, 64)]
+
+
+def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
+    """Calls on another shape in between, an equal but distinct shape, and
+    new shapes made where freed ones stood all give, bit for bit, what
+    sampling afresh gives."""
+    nodes, omega = 256, 0.1515
+    shape, other = random_coeffs(rng, 0.63, 4, 31), random_coeffs(rng, 0.63, 4, 31)
+
+    def fresh(coeffs):
+        return coeffs.replace_coefficients(coeffs.a1, coeffs.a2)
+
+    def layers(coeffs):
+        return (
+            assemble(coeffs, omega, nodes).as_vector(),
+            assemble(other, omega, nodes).as_vector(),
+            jacobian(coeffs, omega, nodes),
+            omega_column(coeffs, nodes),
+        )
+
+    monkeypatch.setattr(vstates.residual, "_sample", vstates.contour._evaluate)
+    expected = [value.tobytes() for value in layers(shape)]
+    monkeypatch.undo()
+    for coeffs in (shape, fresh(shape)):
+        assert [value.tobytes() for value in layers(coeffs)] == expected
+    for _ in range(20):
+        temporary = fresh(other)
+        assemble(temporary, omega, nodes)
+        del temporary
+        coeffs = fresh(shape)
+        assert jacobian(coeffs, omega, nodes).tobytes() == expected[2]
+        del coeffs
+
+
+def test_jacobian_keeps_no_view_of_its_work_arrays():
+    """A Jacobian stays as returned when another one is formed at the same
+    N/m, here N = 256 at m = 4 and N = 768 at m = 12."""
+    first = jacobian(perturbed_annulus(0.63, 4, 31, a1_1=0.03), 0.152, 256)
+    kept = first.copy()
+    second = jacobian(perturbed_annulus(0.85, 12, 31, a1_1=0.06), 0.09011, 768)
+    assert np.array_equal(first, kept) and not np.array_equal(first[:4, :4], second[:4, :4])
+
+
+def test_threads_form_their_own_residuals_and_jacobians(rng):
+    """Threads switching as often as they can, each on its own shapes at
+    the same N/m, get bit for bit the single-threaded results."""
+    nodes, omega = 256, 0.1515
+    shapes = [random_coeffs(rng, 0.63, 4, 31) for _ in range(4)]
+
+    def layers(shape):
+        return (
+            assemble(shape, omega, nodes).as_vector().tobytes(),
+            jacobian(shape, omega, nodes).tobytes(),
+        )
+
+    expected = [layers(shape) for shape in shapes]
+    mismatches = []
+
+    def work(index):
+        for _ in range(15):
+            if layers(shapes[index]) != expected[index]:
+                mismatches.append(index)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(index,)) for index in range(len(shapes))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert mismatches == []
 
 
 def test_reconstruction_consistency(rng):

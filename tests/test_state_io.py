@@ -146,6 +146,13 @@ def test_state_file_validation(tmp_path, reference_state):
     with pytest.raises(ValueError):
         load_state(bad)
 
+    # equal to 1 in Python, but not the int 1
+    for version, shown in ((True, "True"), (1.0, "1.0")):
+        bad.write_text(json.dumps(dict(doc, schema_version=version)))
+        match = f"^{re.escape(str(bad))}: unsupported schema_version {shown}$"
+        with pytest.raises(ValueError, match=match):
+            load_state(bad)
+
     chopped = dict(doc, a1=doc["a1"][:-1])
     bad.write_text(json.dumps(chopped))
     with pytest.raises(ValueError):
@@ -311,6 +318,8 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(row="0.19,0.3,7,0.05,abc,true"), "column 'a2_1'"),
         (dict(row="0.19,0.3,7.5,0.05,-0.04,true"), "column 'iterations'"),
         (dict(row="nan,,,,,terminated"), "column 'omega'"),
+        (dict(row="0.175,0.3,7,0.05,-0.04,terminated"), "terminated marker .* has values between"),
+        (dict(row="0.175,,,,false,terminated"), "terminated marker .* has values between"),
         (dict(b="nan"), "field 'b'"),
         (dict(omega_step="inf"), "field 'omega_step'"),
         (dict(omega_step="fast"), "field 'omega_step'"),
