@@ -139,19 +139,23 @@ def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
         raise ValueError("omega_step must be nonzero")
     if start == end:
         return np.array([start])
-    if (end - start) * step <= 0.0:
-        raise ValueError(
-            f"omega_step {step} does not march from {start} toward {end}"
-        )
+    if (end > start) != (step > 0.0):
+        raise ValueError(f"omega_step {step} does not march from {start} toward {end}")
+    # A step below the spacing of doubles near omega repeats grid points, which
+    # no BranchFile may hold (`state_io.load_branch`); its grid may not even fit in memory.
+    if abs(step) < np.spacing(max(abs(start), abs(end))):
+        raise ValueError(f"omega_step {step} is too small to move omega from {start}")
     count = int(np.floor((end - start) / step + 1e-9))
-    grid = start + step * np.arange(count + 1)
+    try:
+        grid = start + step * np.arange(count + 1)
+    except MemoryError:
+        raise ValueError(f"omega_step {step} needs {count + 1} points, too many to hold") from None
     # Land exactly on the requested end; a short final step is fine.
     if abs(end - grid[-1]) > 1e-12 * max(1.0, abs(end)):
         grid = np.append(grid, end)
     else:
         grid[-1] = end
-    # A step below the spacing of doubles near omega repeats grid points,
-    # which no BranchFile may hold (`state_io.load_branch`).
+    # Rounding and landing on the end may still repeat or reverse a point.
     if np.any(np.diff(grid) * step <= 0.0):
         raise ValueError(f"omega_step {step} is too small to move omega from {start}")
     return grid

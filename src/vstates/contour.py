@@ -11,10 +11,10 @@ rotational symmetry and the reflection symmetry about the real axis;
 the annulus itself is the zero-coefficient member.  Sampling happens on
 the uniform grid theta_i = 2 pi i / N with N a multiple of m, which
 makes the fundamental sector an exact subsampling and lets downstream
-quadrature exploit the symmetry.  `sample` evaluates all N nodes, for
-`boundary_distance` and the full-grid checks; the residual and its
-Jacobian read only the fundamental sector, the leading N/m nodes, and
-sample just those, bit for bit the same values, once per shape.
+quadrature exploit the symmetry.  A boundary is evaluated only on the
+fundamental sector, the leading N/m nodes, which the residual and its
+Jacobian read once per shape; `sample` repeats the sector's radii on
+all N nodes, for `boundary_distance` and the full-grid checks.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ class SampledContour:
     z_j[i] = exp(i theta_i) rho_j(theta_i) with theta_i = 2 pi i / N, and
     dz_j[i] the analytic derivative d z_j / d theta at the node.  fold is
     the m of the sampled shape, a divisor of N.  `sample` fills all N
-    nodes; inside the residual layer only the leading ones are sampled.
+    nodes; inside the residual layer only the sector's N/m are sampled.
     """
 
     nodes: int
@@ -158,21 +158,18 @@ class SampledContour:
 
 @functools.lru_cache(maxsize=16)
 def _basis(nodes: int, fold: int, modes: int) -> tuple[FloatArray, FloatArray, ComplexArray]:
-    """Cached sampling matrices for a given grid geometry.
+    """Cached sampling tables for a given grid geometry.
 
-    Returns (C, S, e) with C[i, k] = cos(m (k+1) theta_i),
-    S[i, k] = m (k+1) sin(m (k+1) theta_i) and e[i] = exp(i theta_i).
+    Returns (C, S, e): on the N/m sector nodes C[i, k] = cos(m (k+1) theta_i)
+    and S[i, k] = m (k+1) sin(m (k+1) theta_i), and on all N e[i] = exp(i theta_i).
     """
     theta = 2.0 * np.pi * np.arange(nodes) / nodes
     freq = fold * np.arange(1, modes + 1)
-    phase = theta[:, None] * freq[None, :]
-    cos = np.cos(phase)
-    sin = np.sin(phase) * freq[None, :]
-    cos.setflags(write=False)
-    sin.setflags(write=False)
-    unit = np.exp(1j * theta)
-    unit.setflags(write=False)
-    return cos, sin, unit
+    phase = theta[: nodes // fold, None] * freq[None, :]
+    tables = (np.cos(phase), np.sin(phase) * freq[None, :], np.exp(1j * theta))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 @functools.lru_cache(maxsize=16)
@@ -186,9 +183,8 @@ def _motion(nodes: int, fold: int, modes: int) -> tuple[FloatArray, ComplexArray
     N/(2m) + 1, one row per coefficient.
     """
     cos, sin, unit = _basis(nodes, fold, modes)
-    count = nodes // fold
-    half = count // 2 + 1
-    sources = np.concatenate([cos[:count].T, sin[:count].T], axis=1)
+    half = len(cos) // 2 + 1
+    sources = np.concatenate([cos.T, sin.T], axis=1)
     shift = np.ascontiguousarray((unit[:half, None] * cos[:half]).T)
     tilt = np.ascontiguousarray((unit[:half, None] * (1j * cos[:half] - sin[:half])).T)
     tables = (sources, shift, tilt)
@@ -200,8 +196,8 @@ def _motion(nodes: int, fold: int, modes: int) -> tuple[FloatArray, ComplexArray
 def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     """Evaluate both boundaries and their derivatives on the N-node grid.
 
-    All N nodes are evaluated and checked; `assemble` and `jacobian`
-    sample only the sector's N/m.
+    The radii, checked on the sector's N/m nodes, repeat exactly on the
+    other m - 1, so the leading N/m nodes are the residual layer's sample.
 
     Parameters
     ----------
@@ -216,41 +212,39 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     InvalidContour
         If either radius function is non-positive or the boundaries
         cross; the message names the violated constraint and an
-        offending angle.
+        offending angle in the fundamental sector.
     """
-    return _evaluate(coeffs, nodes, nodes)
+    return _evaluate(coeffs, nodes, coeffs.fold)
 
 
-# The last call of `_sample`: (shape, (N, rows), its sample).  Holding the
-# shape keeps its id from being reused while the entry stands.  Threads
-# may replace each other's entry, but a hit is always the given shape's.
+# The last call of `_sample`: (shape, N, its sample).  Holding the shape
+# keeps its id from being reused while the entry stands.  Threads may
+# replace each other's entry, but a hit is always the given shape's.
 _last_sample = None
 
 
-def _sample(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContour:
-    """`sample` at the leading `rows` nodes of the N-node grid only.
+def _sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
+    """`sample` at the fundamental sector's N/m nodes only.
 
-    The values are bit for bit the leading rows of `sample(coeffs,
-    nodes)`, and the geometry checks see only these rows, so an
-    `InvalidContour` names an angle below 2 pi rows / N.  A call on the
-    same shape object and (N, rows) as the last one returns the last
+    The values are the leading N/m nodes of `sample(coeffs, nodes)`.  A
+    call on the same shape object and N as the last one returns the last
     sample, whose arrays are read-only: `assemble`, `jacobian` and
     `omega_column` on one Newton iterate sample it once.  A shape is
     frozen, so its identity fixes its values.
     """
     global _last_sample
     last = _last_sample
-    if last is not None and last[0] is coeffs and last[1] == (nodes, rows):
+    if last is not None and last[0] is coeffs and last[1] == nodes:
         return last[2]
-    sc = _evaluate(coeffs, nodes, rows)
+    sc = _evaluate(coeffs, nodes, 1)
     for values in (sc.z1, sc.z2, sc.dz1, sc.dz2):
         values.setflags(write=False)
-    _last_sample = (coeffs, (nodes, rows), sc)
+    _last_sample = (coeffs, nodes, sc)
     return sc
 
 
-def _evaluate(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledContour:
-    """The leading `rows` nodes of `sample`, evaluated afresh."""
+def _evaluate(coeffs: VortexContourCoeffs, nodes: int, copies: int) -> SampledContour:
+    """The sector's radii, evaluated afresh and checked, on `copies` sectors times e^{i theta}."""
     m, M = coeffs.fold, coeffs.modes
     if nodes < 2 * m * M + 1:
         raise ValueError(
@@ -260,16 +254,10 @@ def _evaluate(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledCont
     if nodes % m != 0:
         raise ValueError(f"nodes={nodes} must be a multiple of the fold {m}")
     cos, sin, unit = _basis(nodes, m, M)
-    # The BLAS matrix-vector kernel sums a trailing group of fewer than
-    # four rows in another order, so the products run over whole groups
-    # to keep the bits of the N-row product.
-    stop = min(nodes, -(-rows // 4) * 4)
-    cos, sin, unit = cos[:stop], sin[:stop], unit[:rows]
-
-    rho1 = 1.0 + (cos @ coeffs.a1)[:rows]
-    rho2 = coeffs.b + (cos @ coeffs.a2)[:rows]
-    drho1 = -(sin @ coeffs.a1)[:rows]
-    drho2 = -(sin @ coeffs.a2)[:rows]
+    rho1 = 1.0 + cos @ coeffs.a1
+    rho2 = coeffs.b + cos @ coeffs.a2
+    drho1 = -(sin @ coeffs.a1)
+    drho2 = -(sin @ coeffs.a2)
 
     for values, label in (
         (rho2, "inner radius must stay positive; rho_2"),
@@ -281,10 +269,12 @@ def _evaluate(coeffs: VortexContourCoeffs, nodes: int, rows: int) -> SampledCont
             angle = 2.0 * np.pi * worst / nodes
             raise InvalidContour(f"{label}({angle:.6f}) = {values[worst]:.6e}")
 
-    z1 = unit * rho1
-    z2 = unit * rho2
-    dz1 = unit * (1j * rho1 + drho1)
-    dz2 = unit * (1j * rho2 + drho2)
+    # One row per sector, so each radius multiplies the e^{i theta} of its copies
+    unit = unit[: copies * len(rho1)].reshape(copies, -1)
+    z1 = (unit * rho1).ravel()
+    z2 = (unit * rho2).ravel()
+    dz1 = (unit * (1j * rho1 + drho1)).ravel()
+    dz2 = (unit * (1j * rho2 + drho2)).ravel()
     return SampledContour(nodes=nodes, fold=m, z1=z1, z2=z2, dz1=dz1, dz2=dz2)
 
 

@@ -10,20 +10,24 @@ velocity.
 
 from __future__ import annotations
 
+import functools
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .contour import _basis
 from .state_io import StateFile
 
 __all__ = ["render_svg", "save_svg"]
 
 
-def _radius_samples(state: StateFile, samples: int) -> tuple[np.ndarray, np.ndarray]:
-    basis = _basis(samples, state.m, state.modes)[0]
-    return 1.0 + basis @ state.a1, state.b + basis @ state.a2
+@functools.lru_cache(maxsize=4)
+def _cosines(samples: int, fold: int, modes: int) -> np.ndarray:
+    """Cached cos(m (k+1) theta_i) on a drawing grid, which need not be a multiple of m."""
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    table = np.cos(np.outer(theta, fold * np.arange(1, modes + 1)))
+    table.setflags(write=False)
+    return table
 
 
 def _path(theta: np.ndarray, rho: np.ndarray) -> str:
@@ -53,7 +57,8 @@ def render_svg(states: Sequence[StateFile], samples: int = 720) -> str:
     curves = []
     extent = 0.0
     for state in ordered:
-        rho1, rho2 = _radius_samples(state, samples)
+        waves = _cosines(samples, state.m, state.modes)
+        rho1, rho2 = 1.0 + waves @ state.a1, state.b + waves @ state.a2
         extent = max(extent, float(np.max(rho1)))
         curves.append((state.omega, _path(theta, rho1), _path(theta, rho2)))
 

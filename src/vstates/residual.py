@@ -29,10 +29,10 @@ for its mirror image.  `assemble` evaluates those targets against the
 sector's N/m sources only, so each of its four kernel tables is
 (N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both boundaries
 and forms one F table of (N/m) x 2(N/(2m) + 1) per source boundary.
-Both sample each boundary on those N/m sector nodes alone, and the
-calls on one shape share one sample.  The residual is affine in omega,
-and `omega_column`, its omega derivative, needs the half-sector shape
-and no kernel sum.
+Both read the sector sample, the N/m nodes where `contour` evaluates
+each boundary, and the calls on one shape share one sample.  The
+residual is affine in omega, and `omega_column`, its omega derivative,
+needs the half-sector shape and no kernel sum.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
         Propagated from sampling when the shape is degenerate.
     """
     count = nodes // coeffs.fold
-    r1, r2 = _pointwise(_sample(coeffs, nodes, count), omega, coeffs.fold, count // 2 + 1)
+    r1, r2 = _pointwise(_sample(coeffs, nodes), omega, coeffs.fold, count // 2 + 1)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     sine = _sine_projection(count, coeffs.modes)
     return DiscreteResidual(b1=r1 @ sine, b2=r2 @ sine, max_abs=max_abs)
@@ -152,7 +152,7 @@ def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
     count = nodes // coeffs.fold
     half = count // 2 + 1
     # The sector sample of `assemble` and `jacobian` on the same shape
-    sc = _sample(coeffs, nodes, count)
+    sc = _sample(coeffs, nodes)
     sine = _sine_projection(count, coeffs.modes)
     return np.concatenate([
         np.real(2.0 * np.conj(z[:half]) * dz[:half]) @ sine
@@ -241,7 +241,7 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     fold, modes = coeffs.fold, coeffs.modes
     count = nodes // fold
     half = count // 2 + 1
-    sc = _sample(coeffs, nodes, count)
+    sc = _sample(coeffs, nodes)
     unit = _basis(nodes, fold, modes)[2][:count]
     sources, shift, tilt = _motion(nodes, fold, modes)
     sine = _sine_projection(count, modes)

@@ -148,10 +148,10 @@ class SolverConfig:
 class SolveReport:
     """Outcome of one Newton run.
 
-    residual_max is re-verified by an independent residual assembly at
-    the final (sign-normalized) coefficients, and residual_history
-    records the convergence measure before the first and after each
-    update.
+    residual_max is the measure of the last assembly, at the returned
+    coefficients; an independent re-assembly, one more residual_history
+    entry, re-verifies it only when `normalize_signs` flips the state.
+    residual_history holds the measure before the first and after each update.
     """
 
     coeffs: VortexContourCoeffs

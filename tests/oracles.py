@@ -31,7 +31,6 @@ from typing import Literal
 import numpy as np
 
 from vstates import VortexContourCoeffs, assemble, sample
-from vstates.contour import _basis
 from vstates.kernels import kernel_sums
 from vstates.residual import DiscreteResidual, _pointwise, jacobian
 from vstates.solver import CURVATURE_AMPLITUDE, CURVATURE_TOL, _inverse_checked
@@ -163,7 +162,10 @@ def full_source_jacobian(coeffs, omega, nodes):
     sc = sample(coeffs, nodes)
     modes = coeffs.modes
     count = nodes // coeffs.fold
-    cos, sin, unit = _basis(nodes, coeffs.fold, modes)
+    theta = 2.0 * np.pi * np.arange(nodes) / nodes
+    freq = coeffs.fold * np.arange(1, modes + 1)
+    cos, sin = np.cos(np.outer(theta, freq)), freq * np.sin(np.outer(theta, freq))
+    unit = np.exp(1j * theta)
     # conj(delta z), -delta z and delta z' per unit a_{p,l}, stacked so
     # that P @ conj(delta z) - Q @ delta z + R @ delta z' is one product
     stacked = np.empty((3, nodes, modes), dtype=np.complex128)

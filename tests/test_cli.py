@@ -364,6 +364,24 @@ def test_non_finite_omega_is_a_usage_error(tmp_path, capsys):
         assert not out_path.exists()
 
 
+def test_unusable_omega_step_is_a_usage_error(tmp_path, capsys):
+    """Steps below the spacing of doubles, and a grid too large for any
+    address space, exit 1 with a message instead of a numpy traceback."""
+    out_path = tmp_path / "out.csv"
+    for start, end, step, message in (
+        ("0.135", "0.16", "1e-300", "too small to move omega from 0.135"),
+        ("0.135", "0.16", "5e-324", "too small to move omega from 0.135"),
+        ("-0.49", "0.49", "1e-16", "points, too many to hold"),
+    ):
+        code, _, err = run(
+            capsys, "sweep", "--b", "0.63", "--m", "4", "--omega-start", start,
+            "--omega-end", end, "--omega-step", step, "--out", str(out_path),
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith(f"vstates: error: omega_step {float(step)!r} ") and message in err
+        assert not out_path.exists()
+
+
 def test_render_states(tmp_path, capsys):
     paths = []
     for omega in ("0.1400", "0.1520"):

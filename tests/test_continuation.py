@@ -72,6 +72,16 @@ def test_omega_grid_rejects_steps_below_rounding():
     with pytest.raises(ValueError, match="too small to move omega"):
         continuation._omega_grid(0.15, 0.15 + 1e-16, 1e-17)
     assert len(continuation._omega_grid(0.15, 0.15 + 1e-15, 1e-16)) > 1
+    for step in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match="^omega_step .* too small to move omega from 0.135$"):
+            continuation._omega_grid(0.135, 0.16, step)
+
+
+def test_omega_grid_names_a_grid_too_large_to_allocate():
+    """1e-16 moves omega near 0.49, but its 9.8e15 points of 8 bytes
+    exceed every 64-bit user address space, so nothing is allocated."""
+    with pytest.raises(ValueError, match=r"^omega_step 1e-16 needs \d{16} points, too many"):
+        continuation._omega_grid(-0.49, 0.49, 1e-16)
 
 
 def test_sweep_rejects_non_finite_omegas():

@@ -12,7 +12,7 @@ from vstates import (
     perturbed_annulus,
     sample,
 )
-from vstates.contour import _sample
+from vstates.contour import _basis, _sample
 from oracles import all_pairs_distance
 
 
@@ -195,10 +195,39 @@ def test_sector_sample_is_the_leading_rows_of_sample(rng):
             for modes in (6, 31):
                 coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
                 full = sample(coeffs, fold * count)
-                for rows in (count, count // 2 + 1):
-                    part = _sample(coeffs, fold * count, rows)
-                    assert (part.nodes, part.fold) == (full.nodes, full.fold)
-                    for name in ("z1", "z2", "dz1", "dz2"):
-                        values = getattr(part, name)
-                        assert len(values) == rows
-                        assert np.array_equal(values, getattr(full, name)[:rows])
+                part = _sample(coeffs, fold * count)
+                assert (part.nodes, part.fold) == (full.nodes, full.fold)
+                for name in ("z1", "z2", "dz1", "dz2"):
+                    values = getattr(part, name)
+                    assert len(values) == count
+                    assert np.array_equal(values, getattr(full, name)[:count])
+
+
+def test_sample_repeats_the_sector_radii(rng):
+    """Folds 1-12, N/m odd, even and a multiple of 4: every sector of
+    `sample` is e^{i theta} times the fundamental sector's radii, bit for
+    bit, so the sample is exactly m-periodic in its radii."""
+    for fold in (1, 3, 4, 12):
+        for count in (63, 64, 66):
+            for modes in (6, 31):
+                coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
+                nodes = fold * count
+                cos, sin, unit = _basis(nodes, fold, modes)
+                cos, sin = cos[:count], sin[:count]
+                sc = sample(coeffs, nodes)
+                for z, dz, base, a in (
+                    (sc.z1, sc.dz1, 1.0, coeffs.a1), (sc.z2, sc.dz2, coeffs.b, coeffs.a2)
+                ):
+                    rho, drho = base + cos @ a, -(sin @ a)
+                    assert np.array_equal(z, unit * np.tile(rho, fold))
+                    assert np.array_equal(dz, unit * np.tile(1j * rho + drho, fold))
+
+
+def test_sampling_tables_hold_the_sector():
+    """The cached cosine and sine tables hold the N/m sector nodes only,
+    and e^{i theta} all N."""
+    nodes, fold, modes = 768, 12, 31
+    sample(perturbed_annulus(0.85, fold, modes, a1_1=0.06), nodes)
+    cos, sin, unit = _basis(nodes, fold, modes)
+    assert cos.shape == sin.shape == (nodes // fold, modes)
+    assert unit.shape == (nodes,)

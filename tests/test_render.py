@@ -1,5 +1,7 @@
 """SVG rendering: structure, ordering, and determinism."""
 
+import dataclasses
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -87,3 +89,18 @@ def test_path_formats_each_point_like_an_f_string():
     points = " L ".join(f"{xi:.6f},{yi:.6f}" for xi, yi in zip(x, y))
     assert _path(theta, rho) == f"M {points} Z"
     assert "-0.000000," in points
+
+
+def test_drawing_grid_need_not_be_a_multiple_of_the_fold():
+    """At m = 7, 101 drawing angles: each point of both curves lies at
+    rho(theta) = base + sum_k a_k cos(m k theta)."""
+    state = dataclasses.replace(make_state(0.15, m=7), a1=np.array([0.05, 0.0, 0.01]))
+    paths = re.findall(r'<path d="M (.*?) Z"', render_svg([state], samples=101))
+    theta = 2.0 * np.pi * np.arange(101) / 101
+    waves = np.cos(np.outer(theta, 7 * np.arange(1, 4)))
+    for path, base, a in zip(paths, (1.0, state.b), (state.a1, state.a2)):
+        points = np.array([p.split(",") for p in path.split(" L ")], dtype=float)
+        rho = base + waves @ a
+        assert points.shape == (101, 2)
+        assert np.abs(points[:, 0] - rho * np.cos(theta)).max() < 1e-6
+        assert np.abs(points[:, 1] + rho * np.sin(theta)).max() < 1e-6

@@ -94,16 +94,16 @@ def test_one_newton_step_samples_its_shape_once(monkeypatch):
     evaluated = []
     evaluate = vstates.contour._evaluate
 
-    def counting(coeffs, nodes, rows):
-        evaluated.append((nodes, rows))
-        return evaluate(coeffs, nodes, rows)
+    def counting(coeffs, nodes, copies):
+        evaluated.append((nodes, copies))
+        return evaluate(coeffs, nodes, copies)
 
     monkeypatch.setattr(vstates.contour, "_evaluate", counting)
     shape = perturbed_annulus(0.85, 12, 31, a1_1=0.06)
     assemble(shape, 0.09011, 768)
     jacobian(shape, 0.09011, 768)
     omega_column(shape, 768)
-    assert evaluated == [(768, 64)]
+    assert evaluated == [(768, 1)]
 
 
 def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
@@ -124,7 +124,10 @@ def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
             omega_column(coeffs, nodes),
         )
 
-    monkeypatch.setattr(vstates.residual, "_sample", vstates.contour._evaluate)
+    def fresh_sample(coeffs, nodes):
+        return vstates.contour._evaluate(coeffs, nodes, 1)
+
+    monkeypatch.setattr(vstates.residual, "_sample", fresh_sample)
     expected = [value.tobytes() for value in layers(shape)]
     monkeypatch.undo()
     for coeffs in (shape, fresh(shape)):
@@ -407,9 +410,9 @@ def test_geometry_errors_propagate():
 
 
 def test_geometry_errors_name_an_angle_in_the_sector():
-    """`assemble` samples one sector, so it names an angle in [0, 2 pi / m).
-    On all N = 32 nodes, `sample` finds the most negative inner radius of
-    this 4-fold shape first at a copy in the third sector, theta = 3.337942."""
+    """`assemble` samples one sector, so it names an angle in [0, 2 pi / m),
+    though the most negative inner radius of this 4-fold shape recurs in
+    every sector."""
     a2 = np.array([-0.2, 0.0, 0.05])
     bad = VortexContourCoeffs(b=0.1, fold=4, modes=3, a1=np.zeros(3), a2=a2)
     with pytest.raises(InvalidContour, match=r"^inner radius .* = -7\.677670e-02$") as caught:
