@@ -145,13 +145,16 @@ def _omega_grid(start: float, end: float, step: float) -> np.ndarray:
     # no BranchFile may hold (`state_io.load_branch`); its grid may not even fit in memory.
     if abs(step) < np.spacing(max(abs(start), abs(end))):
         raise ValueError(f"omega_step {step} is too small to move omega from {start}")
-    count = int(np.floor((end - start) / step + 1e-9))
+    # A regular point within `landing` steps of the end, on either side, is the end.
+    landing = 1e-9
+    steps = (end - start) / step
+    count = int(np.floor(steps + landing))
     try:
         grid = start + step * np.arange(count + 1)
     except MemoryError:
         raise ValueError(f"omega_step {step} needs {count + 1} points, too many to hold") from None
     # Land exactly on the requested end; a short final step is fine.
-    if abs(end - grid[-1]) > 1e-12 * max(1.0, abs(end)):
+    if steps - count > landing:
         grid = np.append(grid, end)
     else:
         grid[-1] = end

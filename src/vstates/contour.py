@@ -26,6 +26,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
+from .kernels import _block_rows
+
 FloatArray = NDArray[np.float64]
 ComplexArray = NDArray[np.complex128]
 
@@ -286,7 +288,13 @@ def boundary_distance(sc: SampledContour) -> float:
     closest approach falls between nodes.  The rotations by 2 pi / m and
     the reflection about the real axis map each boundary's nodes onto
     themselves, so the outer nodes on 0 <= theta <= pi / m, the leading
-    N/(2m) + 1, against all N inner nodes reach the same minimum.
+    N/(2m) + 1, against all N inner nodes reach the same minimum.  The
+    pairs are taken in the row blocks of `kernels`, and the minimum over
+    the blocks is the minimum over the whole table.
     """
     half = sc.nodes // (2 * sc.fold) + 1
-    return float(np.min(np.abs(sc.z1[:half, None] - sc.z2[None, :])))
+    step = _block_rows(16 * sc.nodes)
+    return float(min(
+        np.min(np.abs(sc.z1[start : min(start + step, half), None] - sc.z2[None, :]))
+        for start in range(0, half, step)
+    ))

@@ -17,18 +17,84 @@ each call forms one targets x (N/m) table instead of targets x N.  The
 residual's targets are the half sector, N/(2m) + 1 nodes, so each of
 its tables is (N/(2m) + 1) x (N/m).  At m = 1, with every node as a
 target, the same sum is the plain full-grid trapezoid rule.
+
+The sums read each node through conj(z), z^(m-1), z^m and, for a
+source, the weight pair (conj(z) z', z^(m-1) z').  `_nodes` forms them
+once per boundary, and the residual passes the result to all four of
+its sums, as the sources and, sliced, as the targets.
+
+The table is built in row blocks of at most `_BLOCK_BYTES`, 1 MiB, in
+one buffer per call: half of a 2 MiB per-core L2 cache, so a block, the
+weights and the sums stay in cache between the subtraction, the
+reciprocal and the product, and a call's working set no longer grows as
+N^2.  A table of (N/(2m) + 1) x (N/m) is one block up to N/m = 256,
+which covers the CLI's default N = 128 m and every solve and sweep of
+the benchmark and the acceptance tests; the refinement grids at
+N/m = 512 and 1024 split into 3 and 9 blocks, where a block's matrix
+product may round the last bit differently from the whole table's.
+`contour.boundary_distance` takes its node pairs in the same blocks.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["kernel_sums", "active_backend"]
 
+# Largest complex table block, in bytes, that one step of a blocked sum builds
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` each that fit one block; at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
 
 def active_backend() -> str:
     """Name of the kernel implementation; there is only the numpy one."""
     return "python"
+
+
+@dataclass(slots=True)
+class _Nodes:
+    """Nodes z of one boundary with the factors the kernel sums read:
+    conj(z), z^(m-1), z^m and, given the derivatives dz, the weight pair
+    (conj(z) dz, z^(m-1) dz) as a (nodes, 2) array."""
+
+    z: np.ndarray
+    conj: np.ndarray
+    dz: np.ndarray | None
+    power: np.ndarray
+    zm: np.ndarray
+    weights: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.z)
+
+    def head(self, count: int) -> _Nodes:
+        """The leading `count` nodes, as views of these factors; the nodes
+        must have been formed with their dz."""
+        rows = slice(count)
+        return _Nodes(
+            self.z[rows], self.conj[rows], self.dz[rows],
+            self.power[rows], self.zm[rows], self.weights[rows],
+        )
+
+
+def _nodes(z, dz, fold: int) -> _Nodes:
+    """The factors of nodes z, and of their weights if dz is given."""
+    z = np.asarray(z, dtype=np.complex128)
+    conj = np.conj(z)
+    power = z ** (fold - 1)
+    weights = None
+    if dz is not None:
+        dz = np.asarray(dz, dtype=np.complex128)
+        weights = np.empty((len(z), 2), dtype=np.complex128)
+        np.multiply(conj, dz, out=weights[:, 0])
+        np.multiply(power, dz, out=weights[:, 1])
+    return _Nodes(z, conj, dz, power, power * z, weights)
 
 
 def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
@@ -50,28 +116,31 @@ def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
     aligned; node i itself (the j = 0 copy) then takes its removable
     limit conj(dzeta_i), and each of its other m - 1 copies equals
     -conj(z_i) dzeta_i / z_i.
+
+    The targets and the sources may also be given as the private
+    `_Nodes` of `_nodes`, with their factors formed already; a source
+    given so carries its own dzeta, and ``source_dz`` is not read.
     """
-    target_z = np.asarray(target_z, dtype=np.complex128)
-    source_z = np.asarray(source_z, dtype=np.complex128)
-    source_dz = np.asarray(source_dz, dtype=np.complex128)
-    count = len(source_z)
-    target_pow = target_z ** (fold - 1)
-    source_pow = source_z ** (fold - 1)
-    # 1 / (zeta^m - z^m), the only (targets x sector) table, built in place
-    table = np.subtract((source_pow * source_z)[None, :], (target_pow * target_z)[:, None])
+    target = target_z if isinstance(target_z, _Nodes) else _nodes(target_z, None, fold)
+    source = source_z if isinstance(source_z, _Nodes) else _nodes(source_z, source_dz, fold)
+    count, rows = len(source), len(target)
+    sums = np.empty((rows, 2), dtype=np.complex128)
+    step = _block_rows(16 * count)
+    # 1 / (zeta^m - z^m), the only (targets x sector) table, built block by block in place
+    buffer = np.empty((min(step, rows), count), dtype=np.complex128)
+    for start in range(0, rows, step):
+        table = buffer[: rows - start]
+        np.subtract(source.zm, target.zm[start : start + step, None], out=table)
+        if self_source:
+            # entry (i, i) of each of the block's target rows i, a view
+            diag = table.reshape(-1)[start :: count + 1]
+            diag[:] = 1.0  # placeholder; the entry is zeroed below
+        np.reciprocal(table, out=table)
+        if self_source:
+            diag[:] = 0.0
+        np.matmul(table, source.weights, out=sums[start : start + step])
+    total = fold * (target.power * sums[:, 0] - target.conj * sums[:, 1])
     if self_source:
-        # entry (i, i) of each target row, a view
-        diag = table.reshape(-1)[:: count + 1]
-        diag[:] = 1.0  # placeholder; the entry is zeroed below
-    np.reciprocal(table, out=table)
-    if self_source:
-        diag[:] = 0.0
-    weights = np.empty((count, 2), dtype=np.complex128)
-    np.multiply(np.conj(source_z), source_dz, out=weights[:, 0])
-    np.multiply(source_pow, source_dz, out=weights[:, 1])
-    sums = table @ weights
-    total = fold * (target_pow * sums[:, 0] - np.conj(target_z) * sums[:, 1])
-    if self_source:
-        dz = source_dz[: len(target_z)]
-        total += np.conj(dz) - (fold - 1) * np.conj(target_z) * dz / target_z
+        dz = source.dz[:rows]
+        total += np.conj(dz) - (fold - 1) * target.conj * dz / target.z
     return total / (1j * fold * count)

@@ -27,8 +27,14 @@ extension.  So the projection is one product with a cached half-sector
 sine matrix that counts each node strictly inside the half sector twice,
 for its mirror image.  `assemble` evaluates those targets against the
 sector's N/m sources only, so each of its four kernel tables is
-(N/(2m) + 1) x (N/m); `jacobian` stacks the targets of both boundaries
-and forms one F table of (N/m) x 2(N/(2m) + 1) per source boundary.
+(N/(2m) + 1) x (N/m).  `_pointwise` forms each boundary's z^(m-1), z^m
+and weight pair (conj(z) z', z^(m-1) z') once and passes them to the
+two sums that boundary is the source of and the two at its targets;
+`kernels` builds each table in row blocks of at most 1 MiB, one block
+up to N/m = 256.  `jacobian` stacks the targets of both boundaries and
+forms one F table of (N/m) x 2(N/(2m) + 1) per source boundary, whole:
+its tables and work arrays come to about 1.1 MB at N/m = 128, and the
+benchmark's solves run at N/m <= 128.
 Both read the sector sample, the N/m nodes where `contour` evaluates
 each boundary, and the calls on one shape share one sample.  The
 residual is affine in omega, and `omega_column`, its omega derivative,
@@ -61,18 +67,21 @@ def _pointwise(
     full-grid oracle of the tests.
     """
     count = sc.nodes // fold
-    z1, dz1, z2, dz2 = sc.z1[:count], sc.dz1[:count], sc.z2[:count], sc.dz2[:count]
-    t1, t2 = z1[:targets], z2[:targets]
+    # Each boundary's factors, formed once for the two sums it is the source of
+    # and the two at its leading nodes
+    nodes1 = kernels._nodes(sc.z1[:count], sc.dz1[:count], fold)
+    nodes2 = kernels._nodes(sc.z2[:count], sc.dz2[:count], fold)
+    t1, t2 = nodes1.head(targets), nodes2.head(targets)
     # I_1 - I_2 at the targets on either boundary
-    induced1 = kernels.kernel_sums(t1, z1, dz1, True, fold) - kernels.kernel_sums(
-        t1, z2, dz2, False, fold
+    induced1 = kernels.kernel_sums(t1, nodes1, None, True, fold) - kernels.kernel_sums(
+        t1, nodes2, None, False, fold
     )
-    induced2 = kernels.kernel_sums(t2, z1, dz1, False, fold) - kernels.kernel_sums(
-        t2, z2, dz2, True, fold
+    induced2 = kernels.kernel_sums(t2, nodes1, None, False, fold) - kernels.kernel_sums(
+        t2, nodes2, None, True, fold
     )
     two_omega = 2.0 * omega
-    r1 = np.real((two_omega * np.conj(t1) + induced1) * dz1[:targets])
-    r2 = np.real((two_omega * np.conj(t2) + induced2) * dz2[:targets])
+    r1 = np.real((two_omega * t1.conj + induced1) * t1.dz)
+    r2 = np.real((two_omega * t2.conj + induced2) * t2.dz)
     return r1, r2
 
 

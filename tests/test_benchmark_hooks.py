@@ -79,12 +79,14 @@ def test_oracles_stay_out_of_the_package():
 @pytest.mark.parametrize(
     "workload, trace",
     [("cold-solve", 0), ("cold-solve", 1), ("branch-sweep", 0), ("branch-end", 0),
-     ("grid-refinement", 0)],
+     ("grid-refinement", 0), ("grid-refinement", 1)],
 )
 def test_benchmark_round_is_correct(workload, trace):
     """One round of the workload, which writes only under .bench_out/:
     correct outputs, and no failed operation except on branch-end,
-    where every operation is a sweep that is meant to fail."""
+    where every operation is a sweep that is meant to fail.  Traced, the
+    kernel span sees the four `kernels.kernel_sums` calls of every
+    assemble, so a residual that stops calling it fails here."""
     command = [
         sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
         "--seconds", "0", "--seed", "1", "--trace", str(trace),
@@ -96,6 +98,10 @@ def test_benchmark_round_is_correct(workload, trace):
     assert result["correct"] is True, done.stderr
     expected = result["attempted"] if workload == "branch-end" else 0
     assert result["failed"] == expected, done.stderr
+    if trace:
+        metrics = {name: metric["value"] for name, metric in result["metrics"].items()}
+        assert metrics["kernels.kernel_sums.calls"] == 4 * metrics["residual.assemble.calls"]
+        assert metrics["kernels.kernel_sums.pairs"] > 0
 
 
 def test_active_backend_exists():

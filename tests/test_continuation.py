@@ -55,6 +55,18 @@ def test_omega_grid_includes_both_ends():
     assert np.allclose(descending, [0.2, 0.15, 0.1])
     single = continuation._omega_grid(0.15, 0.15, 0.01)
     assert np.allclose(single, [0.15])
+    # A last regular point within rounding of the end, on either side, is the end
+    for start, end, step in (
+        (0.0, 0.1 - 5e-12, 0.01),
+        (0.0, 0.1 - 2e-12, 0.01),
+        (0.0, 0.1 + 5e-12, 0.01),
+        (0.1 - 5e-12, 0.0, -0.01),
+        (0.1 + 5e-12, 0.0, -0.01),
+    ):
+        grid = continuation._omega_grid(start, end, step)
+        assert len(grid) == 11, (start, end, step)
+        assert grid[0] == start and grid[-1] == end
+        assert np.allclose(np.diff(grid), step)
 
 
 def test_omega_grid_rejects_bad_steps():

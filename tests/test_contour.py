@@ -1,6 +1,7 @@
 """Contour representation: coefficients, sampling, symmetry, distance."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,22 @@ from vstates import (
     InvalidContour,
     VortexContourCoeffs,
     boundary_distance,
+    kernels,
     perturbed_annulus,
     sample,
 )
 from vstates.contour import _basis, _sample
 from oracles import all_pairs_distance
+
+
+def traced_peak(call):
+    """Peak bytes allocated during call(), numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_coeffs(rng, b=0.6, fold=4, modes=8, scale=0.04):
@@ -184,6 +196,21 @@ def test_boundary_distance_on_half_sector_matches_all_pairs(rng):
         sc = sample(coeffs, fold * (32 + fold))
         assert sc.fold == fold
         assert abs(boundary_distance(sc) - all_pairs_distance(sc)) < 1e-15
+
+
+def test_boundary_distance_in_row_blocks_is_exact(rng, monkeypatch):
+    """The minimum over blocks of 3 rows is the minimum over the whole
+    table, to the bit, and the blocks of one call at N = 3072, m = 12
+    (a 129 x 3072 table, 6.3 MB whole) peak under 2 MiB."""
+    for fold in (1, 4, 12):
+        coeffs = random_coeffs(rng, b=rng.uniform(0.3, 0.7), fold=fold, modes=6, scale=0.05)
+        sc = sample(coeffs, fold * 40)
+        whole = boundary_distance(sc)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_BLOCK_BYTES", 3 * 16 * sc.nodes)
+            assert boundary_distance(sc) == whole
+    sc = sample(perturbed_annulus(0.85, 12, 31, a1_1=0.03, a2_1=-0.02), 3072)
+    assert traced_peak(lambda: boundary_distance(sc)) < 2 << 20
 
 
 def test_sector_sample_is_the_leading_rows_of_sample(rng):

@@ -1,14 +1,15 @@
 """The numpy kernel sums against a plain loop over the trapezoid rule.
 
 The loop runs over all N nodes; `kernel_sums` is given one sector of
-them and sums the rotated copies in closed form.
+them and sums the rotated copies in closed form, in row blocks of its
+table.
 """
 
 import numpy as np
 
-from vstates import kernels, sample
+from vstates import kernels, perturbed_annulus, sample
 
-from test_contour import random_coeffs
+from test_contour import random_coeffs, traced_peak
 
 
 def workload(rng, nodes=120, fold=3):
@@ -39,10 +40,15 @@ def manual_sums(targets, z, dz, self_source):
     return out
 
 
-def test_diagonal_replacement_against_manual_loop(rng):
+def test_diagonal_replacement_against_manual_loop(rng, monkeypatch):
     """One sector of sources against the loop over all N nodes, at every
     fold the residual meets: self-source with the whole sector or a
-    leading slice of it as targets, and a sum over the other boundary."""
+    leading slice of it as targets, and a sum over the other boundary.
+
+    Each case runs as one table and again in blocks of 5 rows, where the
+    24 sector targets span five blocks and the self-source diagonals of
+    the later four sit at columns 5-23."""
+    whole = kernels._BLOCK_BYTES
     for fold in (1, 3, 4, 12):
         nodes = 24 * fold
         sector = nodes // fold
@@ -54,9 +60,11 @@ def test_diagonal_replacement_against_manual_loop(rng):
             (sc.z1[:sector], sc.z2, sc.dz2, False),
             (sc.z2[:sector], sc.z1, sc.dz1, False),
         ):
-            got = kernels.kernel_sums(targets, z[:sector], dz[:sector], self_source, fold)
             want = manual_sums(targets, z, dz, self_source)
-            assert np.abs(got - want).max() < 1e-14, (fold, len(targets), self_source)
+            for budget in (whole, 5 * 16 * sector):
+                monkeypatch.setattr(kernels, "_BLOCK_BYTES", budget)
+                got = kernels.kernel_sums(targets, z[:sector], dz[:sector], self_source, fold)
+                assert np.abs(got - want).max() < 1e-14, (fold, len(targets), self_source, budget)
 
 
 def test_diagonal_rotated_copies_explicitly(rng):
@@ -77,3 +85,14 @@ def test_diagonal_rotated_copies_explicitly(rng):
             got = kernels.kernel_sums(z, z, dz, True, fold)[0]
             assert abs(got - explicit / (1j * fold)) < 1e-14
 
+
+def test_kernel_table_working_set_is_bounded():
+    """A table of 513 x 1024 entries, the size of the 16N refinement grid
+    of an m = 12, N = 768 solve (8.4 MB whole), is built in blocks, and
+    the call's allocations peak under 2 MiB."""
+    fold, nodes = 12, 16 * 768
+    sector = nodes // fold
+    sc = sample(perturbed_annulus(0.85, fold, 31, a1_1=0.03, a2_1=-0.02), nodes)
+    z, dz = sc.z1[:sector], sc.dz1[:sector]
+    targets = z[: sector // 2 + 1]
+    assert traced_peak(lambda: kernels.kernel_sums(targets, z, dz, True, fold)) < 2 << 20
