@@ -1,0 +1,25 @@
+"""The committed golden corpus is what the CLI writes today, byte for byte.
+
+`tests/golden/regenerate.py` runs the reference solve and its mirror
+seed, two m = 12 solves, `render`, `dispersion`, the criterion-7 coarse
+sweep and both criterion-8 sweeps.  Their bytes depend on the BLAS
+thread count, which numpy fixes when it loads, so the script runs in a
+subprocess with one OpenBLAS thread.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SCRIPT = GOLDEN / "regenerate.py"
+
+
+def test_golden_corpus_is_regenerated_byte_for_byte(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    subprocess.run([sys.executable, str(SCRIPT), str(tmp_path)], env=env, check=True)
+    expected = sorted(path.name for path in GOLDEN.iterdir() if path.is_file() and path != SCRIPT)
+    assert sorted(path.name for path in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
