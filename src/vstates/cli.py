@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: dispersion, solve, sweep, render.  Exit codes:
-0 success, 1 usage errors, 2 infeasible (m, b), 3 numerical failure.
+0 success, 1 usage errors (a grid too large to allocate among them),
+2 infeasible (m, b), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -224,7 +225,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"vstates: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -12,9 +12,10 @@ the annulus itself is the zero-coefficient member.  Sampling happens on
 the uniform grid theta_i = 2 pi i / N with N a multiple of m, which
 makes the fundamental sector an exact subsampling and lets downstream
 quadrature exploit the symmetry.  A boundary is evaluated only on the
-fundamental sector, the leading N/m nodes, which the residual and its
-Jacobian read once per shape; `sample` repeats the sector's radii on
-all N nodes, for `boundary_distance` and the full-grid checks.
+fundamental sector, the leading N/m nodes: `_evaluate` with one copy
+is the residual layer's sample, which `residual` keeps per shape with
+its node factors.  `sample` repeats the sector's radii on all N nodes,
+for `boundary_distance` and the full-grid checks.
 """
 
 from __future__ import annotations
@@ -217,32 +218,6 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
         offending angle in the fundamental sector.
     """
     return _evaluate(coeffs, nodes, coeffs.fold)
-
-
-# The last call of `_sample`: (shape, N, its sample).  Holding the shape
-# keeps its id from being reused while the entry stands.  Threads may
-# replace each other's entry, but a hit is always the given shape's.
-_last_sample = None
-
-
-def _sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
-    """`sample` at the fundamental sector's N/m nodes only.
-
-    The values are the leading N/m nodes of `sample(coeffs, nodes)`.  A
-    call on the same shape object and N as the last one returns the last
-    sample, whose arrays are read-only: `assemble`, `jacobian` and
-    `omega_column` on one Newton iterate sample it once.  A shape is
-    frozen, so its identity fixes its values.
-    """
-    global _last_sample
-    last = _last_sample
-    if last is not None and last[0] is coeffs and last[1] == nodes:
-        return last[2]
-    sc = _evaluate(coeffs, nodes, 1)
-    for values in (sc.z1, sc.z2, sc.dz1, sc.dz2):
-        values.setflags(write=False)
-    _last_sample = (coeffs, nodes, sc)
-    return sc
 
 
 def _evaluate(coeffs: VortexContourCoeffs, nodes: int, copies: int) -> SampledContour:

@@ -19,9 +19,11 @@ its tables is (N/(2m) + 1) x (N/m).  At m = 1, with every node as a
 target, the same sum is the plain full-grid trapezoid rule.
 
 The sums read each node through conj(z), z^(m-1), z^m and, for a
-source, the weight pair (conj(z) z', z^(m-1) z').  `_nodes` forms them
-once per boundary, and the residual passes the result to all four of
-its sums, as the sources and, sliced, as the targets.
+source, the weight pair (conj(z) z', z^(m-1) z').  `_nodes` is the one
+definition of these factors.  The residual layer forms them once per
+boundary and shape, as its sector sample, and passes them to all four
+sums of an assemble, as the sources and, sliced, as the targets; its
+Jacobian and Omega column read the same factors.
 
 The table is built in row blocks of at most `_BLOCK_BYTES`, 1 MiB, in
 one buffer per call: half of a 2 MiB per-core L2 cache, so a block, the

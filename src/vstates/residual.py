@@ -27,18 +27,19 @@ extension.  So the projection is one product with a cached half-sector
 sine matrix that counts each node strictly inside the half sector twice,
 for its mirror image.  `assemble` evaluates those targets against the
 sector's N/m sources only, so each of its four kernel tables is
-(N/(2m) + 1) x (N/m).  `_pointwise` forms each boundary's z^(m-1), z^m
-and weight pair (conj(z) z', z^(m-1) z') once and passes them to the
-two sums that boundary is the source of and the two at its targets;
-`kernels` builds each table in row blocks of at most 1 MiB, one block
-up to N/m = 256.  `jacobian` stacks the targets of both boundaries and
-forms one F table of (N/m) x 2(N/(2m) + 1) per source boundary, whole:
-its tables and work arrays come to about 1.1 MB at N/m = 128, and the
-benchmark's solves run at N/m <= 128.
-Both read the sector sample, the N/m nodes where `contour` evaluates
-each boundary, and the calls on one shape share one sample.  The
+(N/(2m) + 1) x (N/m); `kernels` builds each table in row blocks of at
+most 1 MiB, one block up to N/m = 256.  `jacobian` stacks the targets
+of both boundaries and forms one F table of (N/m) x 2(N/(2m) + 1) per
+source boundary, whole: its tables and work arrays come to about 1.1 MB
+at N/m = 128, and the benchmark's solves run at N/m <= 128.  The
 residual is affine in omega, and `omega_column`, its omega derivative,
 needs the half-sector shape and no kernel sum.
+
+All three read the sector sample of `_sample`: each boundary evaluated
+by `contour` on its N/m sector nodes, with the factors of `kernels._nodes`
+(conj(z), z^(m-1), z^m and the weight pair (conj(z) z', z^(m-1) z')).
+They are formed once per shape and read, sliced to the half sector, as
+the targets too, so the calls of one Newton iterate share them.
 """
 
 from __future__ import annotations
@@ -49,35 +50,60 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .contour import FloatArray, SampledContour, VortexContourCoeffs, _basis, _motion, _sample
+from . import contour, kernels
+from .contour import FloatArray, VortexContourCoeffs, _basis, _motion
 
 __all__ = ["DiscreteResidual", "assemble", "jacobian", "omega_column"]
 
 
+# The last call of `_sample`: (shape, N, its factors).  Holding the shape
+# keeps its id from being reused while the entry stands.  Threads may
+# replace each other's entry, but a hit is always the given shape's.
+_last_sample = None
+
+
+def _sample(coeffs: VortexContourCoeffs, nodes: int) -> tuple[kernels._Nodes, kernels._Nodes]:
+    """The outer and inner boundary's factors on the sector's N/m nodes.
+
+    The nodes are the leading N/m of `contour.sample(coeffs, nodes)`.  A
+    call on the same shape object and N as the last one returns the last
+    factors, whose arrays are read-only: `assemble`, `jacobian` and
+    `omega_column` on one Newton iterate form them once.  A shape is
+    frozen, so its identity fixes its values.
+    """
+    global _last_sample
+    last = _last_sample
+    if last is not None and last[0] is coeffs and last[1] == nodes:
+        return last[2]
+    sc = contour._evaluate(coeffs, nodes, 1)
+    boundaries = tuple(
+        kernels._nodes(z, dz, coeffs.fold) for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
+    )
+    for curve in boundaries:
+        for values in (curve.z, curve.conj, curve.dz, curve.power, curve.zm, curve.weights):
+            values.setflags(write=False)
+    _last_sample = (coeffs, nodes, boundaries)
+    return boundaries
+
+
 def _pointwise(
-    sc: SampledContour, omega: float, fold: int, targets: int
+    outer: kernels._Nodes, inner: kernels._Nodes, omega: float, fold: int, targets: int
 ) -> tuple[FloatArray, FloatArray]:
     """Rotation residual at the leading `targets` nodes of each boundary.
 
-    The sources are the leading N/m nodes of each boundary (m = fold),
-    with the m rotated copies of every node summed in closed form, so
-    each value is the trapezoid sum over all N nodes.  At fold 1 with
-    all N targets it uses neither symmetry, which makes it the
-    full-grid oracle of the tests.
+    The sources are the given nodes of each boundary, one sector of its
+    N nodes (m = fold), with the m rotated copies of every node summed
+    in closed form, so each value is the trapezoid sum over all N nodes.
+    Given all N nodes at fold 1, with all of them as targets, it uses
+    neither symmetry, which makes it the full-grid oracle of the tests.
     """
-    count = sc.nodes // fold
-    # Each boundary's factors, formed once for the two sums it is the source of
-    # and the two at its leading nodes
-    nodes1 = kernels._nodes(sc.z1[:count], sc.dz1[:count], fold)
-    nodes2 = kernels._nodes(sc.z2[:count], sc.dz2[:count], fold)
-    t1, t2 = nodes1.head(targets), nodes2.head(targets)
+    t1, t2 = outer.head(targets), inner.head(targets)
     # I_1 - I_2 at the targets on either boundary
-    induced1 = kernels.kernel_sums(t1, nodes1, None, True, fold) - kernels.kernel_sums(
-        t1, nodes2, None, False, fold
+    induced1 = kernels.kernel_sums(t1, outer, None, True, fold) - kernels.kernel_sums(
+        t1, inner, None, False, fold
     )
-    induced2 = kernels.kernel_sums(t2, nodes1, None, False, fold) - kernels.kernel_sums(
-        t2, nodes2, None, True, fold
+    induced2 = kernels.kernel_sums(t2, outer, None, False, fold) - kernels.kernel_sums(
+        t2, inner, None, True, fold
     )
     two_omega = 2.0 * omega
     r1 = np.real((two_omega * t1.conj + induced1) * t1.dz)
@@ -144,7 +170,7 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
         Propagated from sampling when the shape is degenerate.
     """
     count = nodes // coeffs.fold
-    r1, r2 = _pointwise(_sample(coeffs, nodes), omega, coeffs.fold, count // 2 + 1)
+    r1, r2 = _pointwise(*_sample(coeffs, nodes), omega, coeffs.fold, count // 2 + 1)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     sine = _sine_projection(count, coeffs.modes)
     return DiscreteResidual(b1=r1 @ sine, b2=r2 @ sine, max_abs=max_abs)
@@ -155,17 +181,16 @@ def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
 
     The residual is affine in omega, with slope
     Re(2 conj(z_j) dz_j/dtheta) = 2 rho_j rho_j' on boundary j, so the
-    derivative needs the shape and no kernel sum.  The slope on the half
-    sector is projected as in `assemble`.
+    derivative needs the shape and no kernel sum: it is twice the real
+    part of the first weight, conj(z) dz/dtheta, of the sector sample that
+    `assemble` and `jacobian` read.  The slope on the half sector is
+    projected as in `assemble`.
     """
     count = nodes // coeffs.fold
     half = count // 2 + 1
-    # The sector sample of `assemble` and `jacobian` on the same shape
-    sc = _sample(coeffs, nodes)
     sine = _sine_projection(count, coeffs.modes)
     return np.concatenate([
-        np.real(2.0 * np.conj(z[:half]) * dz[:half]) @ sine
-        for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
+        np.real(2.0 * curve.weights[:half, 0]) @ sine for curve in _sample(coeffs, nodes)
     ])
 
 
@@ -175,8 +200,8 @@ _workspaces = threading.local()
 
 def _workspace(count: int) -> tuple[np.ndarray, ...]:
     """`jacobian`'s complex work arrays at N/m = count, with T = N/(2m) + 1:
-    left (3, N/m, 2), right (3, 4, 2T), the F table (N/m, 2T), work
-    (3, N/m, 2T) and the weight pair (2, N/m).
+    left (3, N/m, 2), right (3, 4, 2T), the F table (N/m, 2T) and work
+    (3, N/m, 2T).  The node factors come from the sector sample.
 
     Each call writes every entry before reading it.  Keeping one set per
     thread saves allocating and faulting in 0.8 MB per Jacobian at
@@ -185,9 +210,7 @@ def _workspace(count: int) -> tuple[np.ndarray, ...]:
     arrays = getattr(_workspaces, "arrays", None)
     if arrays is None or arrays[2].shape[0] != count:
         targets = 2 * (count // 2 + 1)
-        shapes = (
-            (3, count, 2), (3, 4, targets), (count, targets), (3, count, targets), (2, count)
-        )
+        shapes = ((3, count, 2), (3, 4, targets), (count, targets), (3, count, targets))
         arrays = tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
         _workspaces.arrays = arrays
     return arrays
@@ -235,7 +258,9 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     product forms the three rank-2 sums, and one real product of
     [C^T | S^T] with Re(G; H) gives the residual rows of every target,
     projected at once with the half-sector sine matrix.  F and F^2 times
-    two weight vectors give the kernel and the target-motion sums.
+    the weight pair (conj(zeta) zeta', P zeta') give the kernel and the
+    target-motion sums.  Every node factor, of the sources and of the
+    targets, is read from the sector sample that `assemble` reads.
 
     On the source boundary's own rows F is zeroed at the node under
     the target, and its m copies are added back: the removable limit
@@ -250,28 +275,26 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     fold, modes = coeffs.fold, coeffs.modes
     count = nodes // fold
     half = count // 2 + 1
-    sc = _sample(coeffs, nodes)
+    boundaries = _sample(coeffs, nodes)
     unit = _basis(nodes, fold, modes)[2][:count]
     sources, shift, tilt = _motion(nodes, fold, modes)
     sine = _sine_projection(count, modes)
-    z = (sc.z1, sc.z2)
-    dz = (sc.dz1, sc.dz2)
-    power = tuple(source ** (fold - 1) for source in z)  # P of each boundary
     # The targets of both boundaries in one row: columns rows[t] of boundary t
     rows = (slice(0, half), slice(half, 2 * half))
     blocks = (slice(0, modes), slice(modes, 2 * modes))
-    target = np.concatenate([z[0][:half], z[1][:half]])
-    target_dz = np.concatenate([dz[0][:half], dz[1][:half]])
-    target_pow = np.concatenate([power[0][:half], power[1][:half]])
-    target_m = target_pow * target
-    target_conj = np.conj(target)
+    outer, inner = (boundary.head(half) for boundary in boundaries)
+    target = np.concatenate([outer.z, inner.z])
+    target_dz = np.concatenate([outer.dz, inner.dz])
+    target_pow = np.concatenate([outer.power, inner.power])
+    target_m = np.concatenate([outer.zm, inner.zm])
+    target_conj = np.concatenate([outer.conj, inner.conj])
     weight = target_dz / (1j * nodes)
     ratio = target_dz / target
     turn = (fold - 1) * target_conj / target
     # The target factors (tp, tc), (tp, tc tm) and (tp, tc) times the
     # weight, and each times i: the complex sum a p + b q is the real
     # product of (Re a, Im a, Re b, Im b) with (p, i p, q, i q).
-    left, right, table, work, pair = _workspace(count)
+    left, right, table, work = _workspace(count)
     right[:, 0] = target_pow * weight
     right[[0, 2], 2] = target_conj * weight
     right[1, 2] = target_m * right[0, 2]
@@ -285,17 +308,17 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     sum_q = np.zeros(2 * half, dtype=np.complex128)
     jac = np.empty((2 * modes, 2 * modes))
     for s, sign in ((0, 1.0), (1, -1.0)):
-        source, source_dz, source_pow = z[s], dz[s], power[s]
-        np.subtract((source_pow * source)[:, None], target_m[None, :], out=table)
+        source = boundaries[s]
+        np.subtract(source.zm[:, None], target_m[None, :], out=table)
         own = rows[s]  # the targets on the source boundary itself
         table[diag, diag + own.start] = 1.0  # placeholder; the entry is zeroed below
         np.divide(fold, table, out=table)
         table[diag, diag + own.start] = 0.0
-        moved, rho = source_pow * unit, np.conj(source) * unit  # P u, conj(zeta) u
-        pow_ratio = moved * source_dz / source  # L
-        left[0, :, 0] = source_dz * np.conj(unit) + 1j * rho  # A
+        moved, rho = source.power * unit, source.conj * unit  # P u, conj(zeta) u
+        pow_ratio = moved * source.dz / source.z  # L
+        left[0, :, 0] = source.dz * np.conj(unit) + 1j * rho  # A
         left[0, :, 1] = pow_ratio - 1j * moved  # B
-        left[1, :, 0] = -rho * source_dz * source_pow  # -E
+        left[1, :, 0] = -rho * source.dz * source.power  # -E
         left[1, :, 1] = pow_ratio
         left[2, :, 0] = -rho
         left[2, :, 1] = moved
@@ -307,10 +330,8 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
         np.copyto(real, work[1:].reshape(2 * count, 2 * half).real)
         projected = (sources @ real).reshape(modes, 2, half) @ sine
         jac[:, blocks[s]] = sign * projected.reshape(modes, 2 * modes).T
-        np.multiply(np.conj(source), source_dz, out=pair[0])
-        np.multiply(source_pow, source_dz, out=pair[1])
-        lin = pair @ table
-        sq = pair @ np.square(table, out=table)
+        lin = source.weights.T @ table
+        sq = source.weights.T @ np.square(table, out=table)
         kernel = target_pow * lin[0] - target_conj * lin[1]
         kernel[own] += np.conj(target_dz[own]) - turn[own] * target_dz[own]
         induced += sign * kernel

@@ -25,18 +25,20 @@ sys.path.insert(0, str(HERE.parents[1] / "src"))
 from vstates.cli import main  # noqa: E402
 
 # The problems of the solves and sweeps, with their files written byte-stable
-REFERENCE = ["--b", "0.63", "--m", "4", "--omega", "0.152", "--nodes", "256", "--modes", "31"]
-TWELVE = ["--b", "0.85", "--m", "12", "--nodes", "768", "--modes", "31"]
-CRITERION_7 = ["--b", "0.63", "--m", "4", "--nodes", "512", "--modes", "31"]
-CRITERION_8 = ["--b", "0.6", "--m", "4", "--nodes", "512", "--modes", "63"]
-REFERENCE, TWELVE, CRITERION_7, CRITERION_8 = (
-    [*args, "--no-timestamp"] for args in (REFERENCE, TWELVE, CRITERION_7, CRITERION_8)
-)
+STABLE = "--no-timestamp"
+REFERENCE = [
+    "--b", "0.63", "--m", "4", "--omega", "0.152", "--nodes", "256", "--modes", "31", STABLE,
+]
+TWELVE = ["--b", "0.85", "--m", "12", "--nodes", "768", "--modes", "31", STABLE]
+CRITERION_7 = ["--b", "0.63", "--m", "4", "--nodes", "512", "--modes", "31", STABLE]
+CRITERION_8 = ["--b", "0.6", "--m", "4", "--nodes", "512", "--modes", "63", STABLE]
 
 # (name, argv): in order, since `render` reads the reference state
 COMMANDS = (
     ("reference", ["solve", *REFERENCE, "--seed-a1", "0.06", "--out", "reference.json"]),
-    ("reference_mirror", ["solve", *REFERENCE, "--seed-a1", "-0.06", "--out", "reference_mirror.json"]),
+    ("reference_mirror", [
+        "solve", *REFERENCE, "--seed-a1", "-0.06", "--out", "reference_mirror.json",
+    ]),
     ("m12_omega0.046", [
         "solve", *TWELVE, "--omega", "0.046", "--seed-a1", "0.01", "--out", "m12_omega0.046.json",
     ]),

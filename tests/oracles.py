@@ -31,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from vstates import VortexContourCoeffs, assemble, sample
-from vstates.kernels import kernel_sums
+from vstates.kernels import _nodes, kernel_sums
 from vstates.residual import DiscreteResidual, _pointwise, jacobian
 from vstates.solver import CURVATURE_AMPLITUDE, CURVATURE_TOL, _inverse_checked
 
@@ -108,7 +108,8 @@ def vstate_residual_pointwise(sc, omega):
     Both vanish identically exactly when the sampled shape is a discrete
     V-state at angular velocity omega.
     """
-    return _pointwise(sc, omega, 1, sc.nodes)
+    outer, inner = (_nodes(trace.z, trace.dz, 1) for trace in (sc.outer, sc.inner))
+    return _pointwise(outer, inner, omega, 1, sc.nodes)
 
 
 def _full_grid(coeffs, omega, nodes):

@@ -3,6 +3,7 @@
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,6 +457,24 @@ def test_render_rejects_invalid_values(tmp_path, capsys):
         )
         assert code == EXIT_USAGE
         assert err.startswith("vstates: error:") and str(bad) in err
+
+
+def test_a_grid_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
+    """Samples or nodes beyond any address space used to end in a traceback;
+    numpy refuses such an array without allocating it."""
+    huge = "1000000000000000"
+    state = Path(__file__).resolve().parent / "golden" / "reference.json"
+    commands = (
+        ["render", str(state), "--samples", huge],
+        ["solve", "--b", "0.63", "--m", "4", "--omega", "0.152",
+         "--nodes", huge, "--modes", "31"],
+    )
+    for command in commands:
+        out_path = tmp_path / "out"
+        code, out, err = run(capsys, *command, "--out", str(out_path))
+        assert code == EXIT_USAGE
+        assert err.startswith("vstates: error: ") and err.count("\n") == 1
+        assert out == "" and not out_path.exists()
 
 
 def test_version_flag(capsys):

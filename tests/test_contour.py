@@ -14,7 +14,7 @@ from vstates import (
     perturbed_annulus,
     sample,
 )
-from vstates.contour import _basis, _sample
+from vstates.contour import _basis
 from oracles import all_pairs_distance
 
 
@@ -211,23 +211,6 @@ def test_boundary_distance_in_row_blocks_is_exact(rng, monkeypatch):
             assert boundary_distance(sc) == whole
     sc = sample(perturbed_annulus(0.85, 12, 31, a1_1=0.03, a2_1=-0.02), 3072)
     assert traced_peak(lambda: boundary_distance(sc)) < 2 << 20
-
-
-def test_sector_sample_is_the_leading_rows_of_sample(rng):
-    """Folds 1-12, N/m odd, even and a multiple of 4, few and many modes:
-    the rows that `assemble` and `jacobian` sample are bit for bit those
-    of the full grid."""
-    for fold in (1, 3, 4, 12):
-        for count in (63, 64, 66):
-            for modes in (6, 31):
-                coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
-                full = sample(coeffs, fold * count)
-                part = _sample(coeffs, fold * count)
-                assert (part.nodes, part.fold) == (full.nodes, full.fold)
-                for name in ("z1", "z2", "dz1", "dz2"):
-                    values = getattr(part, name)
-                    assert len(values) == count
-                    assert np.array_equal(values, getattr(full, name)[:count])
 
 
 def test_sample_repeats_the_sector_radii(rng):

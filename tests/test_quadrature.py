@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from vstates import perturbed_annulus, sample
 from vstates.contour import BoundaryTrace
 from vstates.kernels import kernel_sums
-from vstates.residual import _pointwise
+from vstates.residual import _pointwise, _sample
 
 from oracles import kernel_integral, vstate_residual_pointwise
 
@@ -191,6 +191,6 @@ def test_sector_values_tile_the_full_grid(rng):
     assert np.abs(r1.reshape(4, -1) - r1[None, :48]).max() < 1e-13
     assert np.abs(r2.reshape(4, -1) - r2[None, :48]).max() < 1e-13
     # the half sector sums the rotated copies of the sector nodes in closed form
-    s1, s2 = _pointwise(sc, 0.17, 4, 48 // 2 + 1)
+    s1, s2 = _pointwise(*_sample(coeffs, 192), 0.17, 4, 48 // 2 + 1)
     assert np.abs(s1 - r1[: 48 // 2 + 1]).max() < 1e-13
     assert np.abs(s2 - r2[: 48 // 2 + 1]).max() < 1e-13

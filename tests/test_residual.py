@@ -75,9 +75,9 @@ def test_assemble_sums_over_sector_sources(monkeypatch):
         return kernel_sums(targets, source_z, *args)
 
     def recording_sample(*args):
-        sc = sample_rows(*args)
-        sampled.extend(len(values) for values in (sc.z1, sc.z2, sc.dz1, sc.dz2))
-        return sc
+        boundaries = sample_rows(*args)
+        sampled.extend(len(values) for b in boundaries for values in (b.z, b.dz))
+        return boundaries
 
     monkeypatch.setattr(vstates.kernels, "kernel_sums", recording)
     monkeypatch.setattr(vstates.residual, "_sample", recording_sample)
@@ -106,6 +106,43 @@ def test_one_newton_step_samples_its_shape_once(monkeypatch):
     assert evaluated == [(768, 1)]
 
 
+def test_one_newton_step_forms_its_node_factors_once(monkeypatch):
+    """Two assembles, a Jacobian and an Omega column on one shape form the
+    node factors of each boundary once."""
+    formed = []
+    nodes = vstates.kernels._nodes
+
+    def counting(z, dz, fold):
+        formed.append(len(z))
+        return nodes(z, dz, fold)
+
+    monkeypatch.setattr(vstates.kernels, "_nodes", counting)
+    shape = perturbed_annulus(0.85, 12, 31, a1_1=0.06)
+    assemble(shape, 0.09011, 768)
+    assemble(shape, 0.09, 768)
+    jacobian(shape, 0.09011, 768)
+    omega_column(shape, 768)
+    assert formed == [768 // 12] * 2
+
+
+def test_sector_sample_is_the_leading_rows_of_sample(rng):
+    """Folds 1-12, N/m odd, even and a multiple of 4, few and many modes:
+    the rows that `assemble` and `jacobian` sample are bit for bit those
+    of the full grid, with the factors that `kernels._nodes` forms."""
+    for fold in (1, 3, 4, 12):
+        for count in (63, 64, 66):
+            for modes in (6, 31):
+                coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
+                full = sample(coeffs, fold * count)
+                part = vstates.residual._sample(coeffs, fold * count)
+                for boundary, trace in zip(part, (full.outer, full.inner)):
+                    whole = vstates.kernels._nodes(trace.z[:count], trace.dz[:count], fold)
+                    for name in ("z", "dz", "conj", "power", "zm", "weights"):
+                        values = getattr(boundary, name)
+                        assert len(values) == count
+                        assert np.array_equal(values, getattr(whole, name))
+
+
 def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
     """Calls on another shape in between, an equal but distinct shape, and
     new shapes made where freed ones stood all give, bit for bit, what
@@ -125,7 +162,10 @@ def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
         )
 
     def fresh_sample(coeffs, nodes):
-        return vstates.contour._evaluate(coeffs, nodes, 1)
+        sc = vstates.contour._evaluate(coeffs, nodes, 1)
+        return tuple(
+            vstates.kernels._nodes(t.z, t.dz, coeffs.fold) for t in (sc.outer, sc.inner)
+        )
 
     monkeypatch.setattr(vstates.residual, "_sample", fresh_sample)
     expected = [value.tobytes() for value in layers(shape)]
