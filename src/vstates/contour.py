@@ -220,16 +220,20 @@ def sample(coeffs: VortexContourCoeffs, nodes: int) -> SampledContour:
     return _evaluate(coeffs, nodes, coeffs.fold)
 
 
+def _grid_fault(nodes: int, m: int, M: int) -> str | None:
+    """Why N nodes break the alias-free rule at fold m, M modes, or None."""
+    if nodes < 2 * m * M + 1:
+        return f"nodes={nodes} is below the alias-free sampling bound 2*m*M + 1 = {2 * m * M + 1}"
+    if nodes % m != 0:
+        return f"nodes={nodes} must be a multiple of the fold {m}"
+    return None
+
+
 def _evaluate(coeffs: VortexContourCoeffs, nodes: int, copies: int) -> SampledContour:
     """The sector's radii, evaluated afresh and checked, on `copies` sectors times e^{i theta}."""
     m, M = coeffs.fold, coeffs.modes
-    if nodes < 2 * m * M + 1:
-        raise ValueError(
-            f"nodes={nodes} is below the alias-free sampling bound "
-            f"2*m*M + 1 = {2 * m * M + 1}"
-        )
-    if nodes % m != 0:
-        raise ValueError(f"nodes={nodes} must be a multiple of the fold {m}")
+    if fault := _grid_fault(nodes, m, M):
+        raise ValueError(fault)
     cos, sin, unit = _basis(nodes, m, M)
     rho1 = 1.0 + cos @ coeffs.a1
     rho2 = coeffs.b + cos @ coeffs.a2

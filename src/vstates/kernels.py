@@ -20,10 +20,11 @@ target, the same sum is the plain full-grid trapezoid rule.
 
 The sums read each node through conj(z), z^(m-1), z^m and, for a
 source, the weight pair (conj(z) z', z^(m-1) z').  `_nodes` is the one
-definition of these factors.  The residual layer forms them once per
-boundary and shape, as its sector sample, and passes them to all four
-sums of an assemble, as the sources and, sliced, as the targets; its
-Jacobian and Omega column read the same factors.
+definition of these factors, formed at a fold that they carry, and the
+sums take nothing else.  The residual layer forms them once per boundary
+and shape, as its sector sample, and passes them to all four sums of an
+assemble, as sources and, sliced, as targets; its Jacobian and Omega
+column read them too.
 
 The table is built in row blocks of at most `_BLOCK_BYTES`, 1 MiB, in
 one buffer per call: half of a 2 MiB per-core L2 cache, so a block, the
@@ -61,53 +62,51 @@ def active_backend() -> str:
 
 @dataclass(slots=True)
 class _Nodes:
-    """Nodes z of one boundary with the factors the kernel sums read:
-    conj(z), z^(m-1), z^m and, given the derivatives dz, the weight pair
-    (conj(z) dz, z^(m-1) dz) as a (nodes, 2) array."""
+    """Nodes z of one boundary at fold m with the factors the kernel sums
+    read: conj(z), z^(m-1), z^m and the weight pair (conj(z) dz,
+    z^(m-1) dz) as a (nodes, 2) array."""
 
     z: np.ndarray
     conj: np.ndarray
-    dz: np.ndarray | None
+    dz: np.ndarray
     power: np.ndarray
     zm: np.ndarray
-    weights: np.ndarray | None
+    weights: np.ndarray
+    fold: int
 
     def __len__(self) -> int:
         return len(self.z)
 
     def head(self, count: int) -> _Nodes:
-        """The leading `count` nodes, as views of these factors; the nodes
-        must have been formed with their dz."""
+        """The leading `count` nodes, as views of these factors."""
         rows = slice(count)
         return _Nodes(
             self.z[rows], self.conj[rows], self.dz[rows],
-            self.power[rows], self.zm[rows], self.weights[rows],
+            self.power[rows], self.zm[rows], self.weights[rows], self.fold,
         )
 
 
 def _nodes(z, dz, fold: int) -> _Nodes:
-    """The factors of nodes z, and of their weights if dz is given."""
+    """The factors of nodes z with derivatives dz at fold m."""
     z = np.asarray(z, dtype=np.complex128)
+    dz = np.asarray(dz, dtype=np.complex128)
     conj = np.conj(z)
     power = z ** (fold - 1)
-    weights = None
-    if dz is not None:
-        dz = np.asarray(dz, dtype=np.complex128)
-        weights = np.empty((len(z), 2), dtype=np.complex128)
-        np.multiply(conj, dz, out=weights[:, 0])
-        np.multiply(power, dz, out=weights[:, 1])
-    return _Nodes(z, conj, dz, power, power * z, weights)
+    weights = np.empty((len(z), 2), dtype=np.complex128)
+    np.multiply(conj, dz, out=weights[:, 0])
+    np.multiply(power, dz, out=weights[:, 1])
+    return _Nodes(z, conj, dz, power, power * z, weights, fold)
 
 
-def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
+def kernel_sums(target: _Nodes, source: _Nodes, self_source: bool) -> np.ndarray:
     """Trapezoidal boundary-integral sums at each target point.
 
     Evaluates, for every target z,
 
         (1 / (i N)) sum_k (conj(zeta_k) - conj(z)) / (zeta_k - z) * dzeta_k
 
-    over the N = fold * len(source_z) nodes of an m-fold symmetric
-    boundary (m = fold), given by one sector of them: node k + j N/m is
+    over the N = m * len(source) nodes of an m-fold symmetric boundary
+    (m = source.fold), given by one sector of them: node k + j N/m is
     w^j times node k, w = exp(2 pi i / m), and so is its dzeta.  The
     m rotated copies of a sector node sum to
 
@@ -119,13 +118,10 @@ def kernel_sums(target_z, source_z, source_dz, self_source, fold=1):
     limit conj(dzeta_i), and each of its other m - 1 copies equals
     -conj(z_i) dzeta_i / z_i.
 
-    The targets and the sources may also be given as the private
-    `_Nodes` of `_nodes`, with their factors formed already; a source
-    given so carries its own dzeta, and ``source_dz`` is not read.
+    Both are `_Nodes`, the targets formed at the source's fold; the sums
+    never read a target's dz or weights.
     """
-    target = target_z if isinstance(target_z, _Nodes) else _nodes(target_z, None, fold)
-    source = source_z if isinstance(source_z, _Nodes) else _nodes(source_z, source_dz, fold)
-    count, rows = len(source), len(target)
+    fold, count, rows = source.fold, len(source), len(target)
     sums = np.empty((rows, 2), dtype=np.complex128)
     step = _block_rows(16 * count)
     # 1 / (zeta^m - z^m), the only (targets x sector) table, built block by block in place

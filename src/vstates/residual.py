@@ -87,24 +87,20 @@ def _sample(coeffs: VortexContourCoeffs, nodes: int) -> tuple[kernels._Nodes, ke
 
 
 def _pointwise(
-    outer: kernels._Nodes, inner: kernels._Nodes, omega: float, fold: int, targets: int
+    outer: kernels._Nodes, inner: kernels._Nodes, omega: float, targets: int
 ) -> tuple[FloatArray, FloatArray]:
     """Rotation residual at the leading `targets` nodes of each boundary.
 
     The sources are the given nodes of each boundary, one sector of its
-    N nodes (m = fold), with the m rotated copies of every node summed
-    in closed form, so each value is the trapezoid sum over all N nodes.
-    Given all N nodes at fold 1, with all of them as targets, it uses
-    neither symmetry, which makes it the full-grid oracle of the tests.
+    N nodes (m = their fold), with the m rotated copies of every node
+    summed in closed form, so each value is the trapezoid sum over all N
+    nodes.  Given all N nodes at fold 1, with all of them as targets, it
+    uses neither symmetry, which makes it the full-grid oracle of the tests.
     """
     t1, t2 = outer.head(targets), inner.head(targets)
     # I_1 - I_2 at the targets on either boundary
-    induced1 = kernels.kernel_sums(t1, outer, None, True, fold) - kernels.kernel_sums(
-        t1, inner, None, False, fold
-    )
-    induced2 = kernels.kernel_sums(t2, outer, None, False, fold) - kernels.kernel_sums(
-        t2, inner, None, True, fold
-    )
+    induced1 = kernels.kernel_sums(t1, outer, True) - kernels.kernel_sums(t1, inner, False)
+    induced2 = kernels.kernel_sums(t2, outer, False) - kernels.kernel_sums(t2, inner, True)
     two_omega = 2.0 * omega
     r1 = np.real((two_omega * t1.conj + induced1) * t1.dz)
     r2 = np.real((two_omega * t2.conj + induced2) * t2.dz)
@@ -170,7 +166,7 @@ def assemble(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> DiscreteR
         Propagated from sampling when the shape is degenerate.
     """
     count = nodes // coeffs.fold
-    r1, r2 = _pointwise(*_sample(coeffs, nodes), omega, coeffs.fold, count // 2 + 1)
+    r1, r2 = _pointwise(*_sample(coeffs, nodes), omega, count // 2 + 1)
     max_abs = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
     sine = _sine_projection(count, coeffs.modes)
     return DiscreteResidual(b1=r1 @ sine, b2=r2 @ sine, max_abs=max_abs)

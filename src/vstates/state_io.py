@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .contour import FloatArray, VortexContourCoeffs
+from .contour import FloatArray, VortexContourCoeffs, _grid_fault
 from .continuation import Branch, _origin
 from .solver import SolveReport
 
@@ -135,7 +135,8 @@ def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
     both loaders share; ValueError names the file and the first fault:
     a schema_version that is not the int SCHEMA_VERSION (true and 1.0
     are not), a missing field, or a ranged field (read first) out of
-    range: b outside (0, 1), or m, modes or nodes below 1."""
+    range: b outside (0, 1), m, modes or nodes below 1, or nodes that
+    break the alias-free rule of `contour._grid_fault`."""
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version!r}")
     for key, _ in table:
@@ -148,6 +149,8 @@ def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
     for key in _RANGED_FIELDS[1:]:
         if fields[key] < 1:
             raise ValueError(f"{path}: field {key!r} must be at least 1, got {fields[key]}")
+    if fault := _grid_fault(fields["nodes"], fields["m"], fields["modes"]):
+        raise ValueError(f"{path}: field 'nodes': {fault}")
     fields.update((key, read(key, kind)) for key, kind in table if key not in fields)
     return dict(fields, schema_version=version)
 

@@ -5,10 +5,11 @@
 runs each command of `COMMANDS` in DIRECTORY (default: the directory of
 this script) and writes there the files it writes (`--no-timestamp`)
 and its standard output, as `<name>.out`.  The bytes depend on the BLAS
-thread count, so the corpus is made with one thread.  It is never
-edited by hand: a change that moves an output on purpose regenerates it
-and says why.  `tests/test_golden.py` runs this script into a temporary
-directory and compares the bytes.
+thread count, so the corpus is made with one thread: without
+OPENBLAS_NUM_THREADS=1 the script exits non-zero and writes nothing.
+It is never edited by hand: a change that moves an output on purpose
+regenerates it and says why.  `tests/test_golden.py` runs this script
+into a temporary directory and compares the bytes.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import io
 import os
 import sys
 from pathlib import Path
+
+# Checked before numpy loads, which fixes the thread count
+if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    sys.exit("regenerate.py: the corpus is defined at one BLAS thread; set OPENBLAS_NUM_THREADS=1")
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parents[1] / "src"))

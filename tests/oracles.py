@@ -72,7 +72,8 @@ def kernel_integral(targets, source, diagonal: Diagonal):
                 "on_curve evaluation requires the targets to be exactly the "
                 "source nodes, index aligned"
             )
-        return kernel_sums(targets, source.z, source.dz, True)
+        nodes = _nodes(source.z, source.dz, 1)
+        return kernel_sums(nodes, nodes, True)
     if diagonal == "off_curve":
         separation = float(np.min(np.abs(source.z[None, :] - targets[:, None])))
         if separation < OFF_CURVE_MIN_SEPARATION:
@@ -81,7 +82,9 @@ def kernel_integral(targets, source, diagonal: Diagonal):
                 f"off_curve evaluation requires at least "
                 f"{OFF_CURVE_MIN_SEPARATION:.0e}"
             )
-        return kernel_sums(targets, source.z, source.dz, False)
+        return kernel_sums(
+            _nodes(targets, np.zeros_like(targets), 1), _nodes(source.z, source.dz, 1), False
+        )
     raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
 
 
@@ -109,7 +112,7 @@ def vstate_residual_pointwise(sc, omega):
     V-state at angular velocity omega.
     """
     outer, inner = (_nodes(trace.z, trace.dz, 1) for trace in (sc.outer, sc.inner))
-    return _pointwise(outer, inner, omega, 1, sc.nodes)
+    return _pointwise(outer, inner, omega, sc.nodes)
 
 
 def _full_grid(coeffs, omega, nodes):

@@ -477,6 +477,21 @@ def test_a_grid_too_large_to_allocate_is_a_usage_error(tmp_path, capsys):
         assert out == "" and not out_path.exists()
 
 
+def test_render_rejects_a_grid_that_no_solve_writes(tmp_path, capsys):
+    """A fold of 10**20 used to end in an OverflowError traceback, and one
+    of 2**62 in an SVG whose frequencies m k wrapped in int64."""
+    doc = json.loads((Path(__file__).resolve().parent / "golden" / "reference.json").read_text())
+    for m in (10**20, 2**62):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(doc, m=m)))
+        svg_path = tmp_path / "bad.svg"
+        code, out, err = run(capsys, "render", str(bad), "--out", str(svg_path))
+        assert code == EXIT_USAGE
+        assert err.startswith(f"cannot read state file: {bad}: field 'nodes'")
+        assert err.count("\n") == 1
+        assert out == "" and not svg_path.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])

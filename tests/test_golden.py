@@ -23,3 +23,15 @@ def test_golden_corpus_is_regenerated_byte_for_byte(tmp_path):
     assert sorted(path.name for path in tmp_path.iterdir()) == expected
     for name in expected:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+def test_regenerate_refuses_other_thread_counts(tmp_path):
+    """At two threads the criterion-8 files come out with other bytes, so
+    the script writes nothing and exits non-zero."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    done = subprocess.run(
+        [sys.executable, str(SCRIPT), str(tmp_path)], env=env, capture_output=True, text=True
+    )
+    assert done.returncode != 0
+    assert "OPENBLAS_NUM_THREADS=1" in done.stderr
+    assert list(tmp_path.iterdir()) == []

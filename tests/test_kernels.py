@@ -20,8 +20,9 @@ def workload(rng, nodes=120, fold=3):
 
 def test_repeat_calls_bit_identical(rng):
     sc = workload(rng)
-    first = kernels.kernel_sums(sc.z1, sc.z1, sc.dz1, True)
-    second = kernels.kernel_sums(sc.z1, sc.z1, sc.dz1, True)
+    nodes = kernels._nodes(sc.z1, sc.dz1, 1)
+    first = kernels.kernel_sums(nodes, nodes, True)
+    second = kernels.kernel_sums(nodes, nodes, True)
     assert np.array_equal(first, second)
 
 
@@ -61,9 +62,11 @@ def test_diagonal_replacement_against_manual_loop(rng, monkeypatch):
             (sc.z2[:sector], sc.z1, sc.dz1, False),
         ):
             want = manual_sums(targets, z, dz, self_source)
+            source = kernels._nodes(z[:sector], dz[:sector], fold)
+            target = kernels._nodes(targets, np.zeros_like(targets), fold)
             for budget in (whole, 5 * 16 * sector):
                 monkeypatch.setattr(kernels, "_BLOCK_BYTES", budget)
-                got = kernels.kernel_sums(targets, z[:sector], dz[:sector], self_source, fold)
+                got = kernels.kernel_sums(target, source, self_source)
                 assert np.abs(got - want).max() < 1e-14, (fold, len(targets), self_source, budget)
 
 
@@ -82,8 +85,26 @@ def test_diagonal_rotated_copies_explicitly(rng):
             copies = np.arange(1, fold) * sector + i
             d = sc.z1[copies] - z[0]
             explicit = np.conj(dz[0]) + np.sum(np.conj(d) / d * sc.dz1[copies])
-            got = kernels.kernel_sums(z, z, dz, True, fold)[0]
+            node = kernels._nodes(z, dz, fold)
+            got = kernels.kernel_sums(node, node, True)[0]
             assert abs(got - explicit / (1j * fold)) < 1e-14
+
+
+def test_sums_never_read_a_target_derivative(rng):
+    """Targets whose dz is NaN give, bit for bit, the sums of the same
+    targets with their own dz, for self and cross sums at every fold the
+    residual meets."""
+    sector, half = 24, 13
+    for fold in (1, 3, 4, 12):
+        sc = workload(rng, sector * fold, fold)
+        outer = kernels._nodes(sc.z1[:sector], sc.dz1[:sector], fold)
+        inner = kernels._nodes(sc.z2[:sector], sc.dz2[:sector], fold)
+        target = outer.head(half)
+        blind = kernels._nodes(target.z, np.full(half, np.nan + 0j), fold)
+        for source, self_source in ((outer, True), (inner, False)):
+            want = kernels.kernel_sums(target, source, self_source)
+            got = kernels.kernel_sums(blind, source, self_source)
+            assert got.tobytes() == want.tobytes(), (fold, self_source)
 
 
 def test_kernel_table_working_set_is_bounded():
@@ -93,6 +114,6 @@ def test_kernel_table_working_set_is_bounded():
     fold, nodes = 12, 16 * 768
     sector = nodes // fold
     sc = sample(perturbed_annulus(0.85, fold, 31, a1_1=0.03, a2_1=-0.02), nodes)
-    z, dz = sc.z1[:sector], sc.dz1[:sector]
-    targets = z[: sector // 2 + 1]
-    assert traced_peak(lambda: kernels.kernel_sums(targets, z, dz, True, fold)) < 2 << 20
+    source = kernels._nodes(sc.z1[:sector], sc.dz1[:sector], fold)
+    targets = source.head(sector // 2 + 1)
+    assert traced_peak(lambda: kernels.kernel_sums(targets, source, True)) < 2 << 20

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from vstates import perturbed_annulus, sample
 from vstates.contour import BoundaryTrace
-from vstates.kernels import kernel_sums
+from vstates.kernels import _nodes, kernel_sums
 from vstates.residual import _pointwise, _sample
 
 from oracles import kernel_integral, vstate_residual_pointwise
@@ -138,7 +138,8 @@ def test_normal_approach_recovers_on_curve_value():
     sc = sample(coeffs.replace_coefficients(a1, a2), 8190)
     i = 7
     # the on-curve value at node i from the leading targets only
-    on_value = kernel_sums(sc.z1[: i + 1], sc.z1, sc.dz1, True)[i]
+    outer = _nodes(sc.z1, sc.dz1, 1)
+    on_value = kernel_sums(outer.head(i + 1), outer, True)[i]
     normal = 1j * sc.dz1[i] / abs(sc.dz1[i])
 
     for sign in (1.0, -1.0):
@@ -191,6 +192,6 @@ def test_sector_values_tile_the_full_grid(rng):
     assert np.abs(r1.reshape(4, -1) - r1[None, :48]).max() < 1e-13
     assert np.abs(r2.reshape(4, -1) - r2[None, :48]).max() < 1e-13
     # the half sector sums the rotated copies of the sector nodes in closed form
-    s1, s2 = _pointwise(*_sample(coeffs, 192), 0.17, 4, 48 // 2 + 1)
+    s1, s2 = _pointwise(*_sample(coeffs, 192), 0.17, 48 // 2 + 1)
     assert np.abs(s1 - r1[: 48 // 2 + 1]).max() < 1e-13
     assert np.abs(s2 - r2[: 48 // 2 + 1]).max() < 1e-13

@@ -136,6 +136,7 @@ def test_sector_sample_is_the_leading_rows_of_sample(rng):
                 full = sample(coeffs, fold * count)
                 part = vstates.residual._sample(coeffs, fold * count)
                 for boundary, trace in zip(part, (full.outer, full.inner)):
+                    assert boundary.fold == coeffs.fold
                     whole = vstates.kernels._nodes(trace.z[:count], trace.dz[:count], fold)
                     for name in ("z", "dz", "conj", "power", "zm", "weights"):
                         values = getattr(boundary, name)

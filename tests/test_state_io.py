@@ -325,6 +325,8 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(omega_step="fast"), "field 'omega_step'"),
         (dict(b="3"), "field 'b'"),
         (dict(m="0"), "field 'm'"),
+        (dict(m="3"), "field 'nodes': nodes=512 must be a multiple of the fold 3"),
+        (dict(m="12"), "field 'nodes': nodes=512 is below the alias-free sampling bound"),
         (dict(row="0.19,0.3,7,0.05,-0.04,maybe"), "column 'converged'"),
         (dict(row="0.19,0.3,7,0.05,true"), "malformed row"),
         (dict(format_="vstate"), "not a vstate-branch document"),
