@@ -11,7 +11,6 @@ from .continuation import (
     Branch,
     BranchRecord,
     EmptyBranch,
-    distance_profile,
     minimum_distance,
     sweep,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "critical_radius",
     "default_modes",
     "delta",
-    "distance_profile",
     "double_eigenvalue_locus",
     "double_eigenvalue_radius",
     "eigenvalues_for_fold",

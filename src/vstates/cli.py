@@ -40,17 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--nodes", type=int, default=None,
-                        help="quadrature nodes N (default 128*m)")
-    parser.add_argument("--modes", type=int, default=None,
-                        help="coefficient truncation M (default (N/m - 1) // 2)")
-    parser.add_argument("--tol", type=float, default=1e-12,
-                        help="pointwise residual tolerance (default 1e-12)")
-    parser.add_argument("--max-iter", type=int, default=50,
-                        help="Newton iteration cap (default 50)")
-
-
 def _solver_config(args) -> SolverConfig:
     nodes = args.nodes if args.nodes is not None else 128 * args.m
     modes = args.modes if args.modes is not None else default_modes(args.m, nodes)
@@ -101,23 +90,15 @@ def _build_seed(args, parser, config: SolverConfig):
             f"requested truncation {config.modes}"
         )
     # Zero-pad a coarser seed up to the requested truncation.
-    a1 = np.zeros(config.modes)
-    a2 = np.zeros(config.modes)
-    a1[: state.modes] = state.a1
-    a2[: state.modes] = state.a2
-    return VortexContourCoeffs(
-        b=state.b, fold=state.m, modes=config.modes, a1=a1, a2=a2
-    )
+    pad = (0, config.modes - state.modes)
+    return VortexContourCoeffs(b=state.b, fold=state.m, modes=config.modes,
+                               a1=np.pad(state.a1, pad), a2=np.pad(state.a2, pad))
 
 
 def _cmd_solve(args, parser) -> int:
     config = _solver_config(args)
     seed = _build_seed(args, parser, config)
-    try:
-        report = newton_solve(args.b, args.omega, args.m, seed, config)
-    except (GeometryBreakdown, SingularJacobian) as exc:
-        print(f"solve failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    report = newton_solve(args.b, args.omega, args.m, seed, config)
     state = StateFile.from_report(report, args.omega, config.nodes)
     out = args.out or f"state_m{args.m}_b{args.b:g}_omega{args.omega:g}.json"
     save_state(out, state, timestamp=not args.no_timestamp)
@@ -134,20 +115,11 @@ def _cmd_solve(args, parser) -> int:
     return EXIT_OK if report.converged else EXIT_NUMERICAL
 
 
-def _cmd_sweep(args, parser) -> int:
+def _cmd_sweep(args) -> int:
     config = _solver_config(args)
-    try:
-        branch = sweep(
-            args.b,
-            args.m,
-            args.omega_start,
-            args.omega_end,
-            args.omega_step,
-            config,
-        )
-    except EmptyBranch as exc:
-        print(f"sweep failed: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    branch = sweep(
+        args.b, args.m, args.omega_start, args.omega_end, args.omega_step, config
+    )
     bf = BranchFile.from_branch(branch, args.omega_step, config.modes, config.nodes)
     save_branch(args.out, bf, timestamp=not args.no_timestamp)
     print(f"traced {len(branch.records)} states from omega = {args.omega_start:g} "
@@ -172,19 +144,32 @@ def _cmd_render(args) -> int:
 
 
 def build_parser() -> _Parser:
+    # Options that several subcommands share, each declared once
+    shape = argparse.ArgumentParser(add_help=False)
+    shape.add_argument("--b", type=float, required=True, help="inner radius")
+    shape.add_argument("--m", type=int, required=True, help="fold count")
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--nodes", type=int, default=None,
+                        help="quadrature nodes N (default 128*m)")
+    solver.add_argument("--modes", type=int, default=None,
+                        help="coefficient truncation M (default (N/m - 1) // 2)")
+    solver.add_argument("--tol", type=float, default=SolverConfig.tol,
+                        help="pointwise residual tolerance (default %(default)g)")
+    solver.add_argument("--max-iter", type=int, default=SolverConfig.max_iter,
+                        help="Newton iteration cap (default %(default)d)")
+    solver.add_argument("--no-timestamp", action="store_true",
+                        help="omit the created header for byte-stable output")
+
     parser = _Parser(prog="vstates",
                      description="doubly connected rotating vortex patches")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("dispersion", parents=[], help="eigenvalue pair at (m, b)")
-    p.add_argument("--m", type=int, required=True, help="fold count")
-    p.add_argument("--b", type=float, required=True, help="inner radius")
-    p.set_defaults(handler=lambda a: _cmd_dispersion(a))
+    p = sub.add_parser("dispersion", parents=[shape], help="eigenvalue pair at (m, b)")
+    p.set_defaults(handler=_cmd_dispersion)
 
-    p = sub.add_parser("solve", help="Newton solve at fixed (b, m, omega)")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("solve", parents=[shape, solver],
+                       help="Newton solve at fixed (b, m, omega)")
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--seed-a1", type=float, default=0.0,
                    help="first-mode outer amplitude of the seed")
@@ -192,30 +177,22 @@ def build_parser() -> _Parser:
                    help="first-mode inner amplitude of the seed")
     p.add_argument("--seed-file", type=str, default=None,
                    help="StateFile to seed from (overrides --seed-a1/2)")
-    _add_solver_flags(p)
     p.add_argument("--out", type=str, default=None, help="output StateFile path")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the created header for byte-stable output")
     p.set_defaults(handler=lambda a: _cmd_solve(a, parser))
 
-    p = sub.add_parser("sweep", help="continuation sweep over omega")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p = sub.add_parser("sweep", parents=[shape, solver], help="continuation sweep over omega")
     p.add_argument("--omega-start", type=float, required=True)
     p.add_argument("--omega-end", type=float, required=True)
     p.add_argument("--omega-step", type=float, required=True)
-    _add_solver_flags(p)
     p.add_argument("--out", type=str, required=True, help="output BranchFile path")
-    p.add_argument("--no-timestamp", action="store_true",
-                   help="omit the created header for byte-stable output")
-    p.set_defaults(handler=lambda a: _cmd_sweep(a, parser))
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("render", help="draw states to SVG")
     p.add_argument("states", nargs="+", help="StateFile inputs")
     p.add_argument("--out", type=str, required=True, help="output SVG path")
     p.add_argument("--samples", type=int, default=720,
                    help="angular resolution of each curve (default 720)")
-    p.set_defaults(handler=lambda a: _cmd_render(a))
+    p.set_defaults(handler=_cmd_render)
 
     return parser
 
@@ -225,6 +202,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except (GeometryBreakdown, SingularJacobian, EmptyBranch) as exc:
+        print(f"{args.command} failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (OSError, ValueError, MemoryError) as exc:
         print(f"vstates: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

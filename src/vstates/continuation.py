@@ -59,7 +59,6 @@ __all__ = [
     "Branch",
     "EmptyBranch",
     "sweep",
-    "distance_profile",
     "minimum_distance",
 ]
 
@@ -330,11 +329,6 @@ def sweep(
             break
         records.append(_record(omega, report, config))
     return Branch(b=b, m=m, records=records, origin=origin, terminated_at=terminated_at)
-
-
-def distance_profile(branch: Branch) -> list[tuple[float, float]]:
-    """(omega, boundary distance) along the branch, in sweep order."""
-    return [(record.omega, record.distance) for record in branch.records]
 
 
 def minimum_distance(branch: Branch) -> tuple[float, float]:

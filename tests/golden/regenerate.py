@@ -57,6 +57,10 @@ COMMANDS = (
         "sweep", *CRITERION_7, "--omega-start", "0.1342", "--omega-end", "0.1674",
         "--omega-step", "1e-3", "--out", "criterion7_coarse.csv",
     ]),
+    ("criterion7_full", [
+        "sweep", *CRITERION_7, "--omega-start", "0.1342", "--omega-end", "0.1674",
+        "--omega-step", "1e-4", "--out", "criterion7_full.csv",
+    ]),
     ("criterion8_descending", [
         "sweep", *CRITERION_8, "--omega-start", "0.1905", "--omega-end", "0.16",
         "--omega-step=-5e-4", "--out", "criterion8_descending.csv",

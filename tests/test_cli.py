@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vstates import load_branch, load_state
+from vstates import SingularJacobian, load_branch, load_state
 from vstates.cli import EXIT_INFEASIBLE, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
 
@@ -132,6 +132,24 @@ def test_solve_geometry_failure_exits_numerical(tmp_path, capsys):
     )
     assert code == EXIT_NUMERICAL
     assert "solve failed: contour degenerated at iteration 4" in err
+    assert not out_path.exists()
+
+
+def test_solve_singular_jacobian_exits_numerical(tmp_path, capsys, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularJacobian(0.0)
+
+    monkeypatch.setattr("vstates.cli.newton_solve", singular)
+    out_path = tmp_path / "singular.json"
+    code, _, err = run(
+        capsys,
+        "solve", "--b", "0.63", "--m", "4", "--omega", "0.152",
+        "--seed-a1", "0.06", "--nodes", "256", "--out", str(out_path),
+    )
+    assert code == EXIT_NUMERICAL
+    assert err == (
+        "solve failed: Jacobian numerically singular (1/||J^-1||_inf 0.000e+00 < 1e-14)\n"
+    )
     assert not out_path.exists()
 
 
@@ -496,3 +514,26 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
+
+
+@pytest.mark.parametrize("argv, options", [
+    ([], ["dispersion", "solve", "sweep", "render", "--version"]),
+    (["dispersion"], ["--b", "--m"]),
+    (["solve"], ["--b", "--m", "--omega", "--seed-a1", "--seed-a2", "--seed-file",
+                 "--nodes", "--modes", "--tol", "--max-iter", "--out", "--no-timestamp"]),
+    (["sweep"], ["--b", "--m", "--omega-start", "--omega-end", "--omega-step",
+                 "--nodes", "--modes", "--tol", "--max-iter", "--out", "--no-timestamp"]),
+    (["render"], ["states", "--out", "--samples"]),
+])
+def test_help_lists_every_option(capsys, monkeypatch, argv, options):
+    """argparse expands `%(default)` only when help is asked for, so a
+    stray `%` in a help string fails nowhere else."""
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for option in options:
+        assert re.search(rf"^ +{option}(?![\w-])", out, re.MULTILINE), option
+    if argv in (["solve"], ["sweep"]):
+        assert "(default 1e-12)" in out and "(default 50)" in out

@@ -12,7 +12,6 @@ from vstates import (
     SolverConfig,
     critical_radius,
     default_modes,
-    distance_profile,
     eigenvalues_for_fold,
     minimum_distance,
     newton_solve,
@@ -87,6 +86,12 @@ def test_omega_grid_rejects_steps_below_rounding():
     for step in (1e-300, 5e-324):
         with pytest.raises(ValueError, match="^omega_step .* too small to move omega from 0.135$"):
             continuation._omega_grid(0.135, 0.16, step)
+    # A step of 1.5 ulp passes the spacing check, but the last regular
+    # point then rounds onto the end and repeats it.
+    for end, step in ((0.13500000000000023, 4.163336342344337e-17),
+                      (0.1349999999999998, -4.163336342344337e-17)):
+        with pytest.raises(ValueError, match="^omega_step .* too small to move omega from 0.135$"):
+            continuation._omega_grid(0.135, end, step)
 
 
 def test_omega_grid_names_a_grid_too_large_to_allocate():
@@ -386,7 +391,7 @@ def test_branch_probe_sweeps_cover_their_grids():
     assert set(stopped) <= PROBE_STOPPERS
 
 
-def test_distance_profile_and_minimum():
+def test_minimum_distance():
     coeffs = perturbed_annulus(0.6, 4, 2)
     fake = lambda omega, distance: BranchRecord(
         omega=omega,
@@ -400,8 +405,6 @@ def test_distance_profile_and_minimum():
         origin="omega_minus",
         terminated_at=None,
     )
-    profile = distance_profile(branch)
-    assert profile == [(0.1, 0.35), (0.11, 0.30), (0.12, 0.33)]
     omega_at_min, smallest = minimum_distance(branch)
     assert omega_at_min == 0.11 and smallest == 0.30
 

@@ -2,9 +2,9 @@
 
 `tests/golden/regenerate.py` runs the reference solve and its mirror
 seed, two m = 12 solves, `render`, `dispersion`, the criterion-7 coarse
-sweep and both criterion-8 sweeps.  Their bytes depend on the BLAS
-thread count, which numpy fixes when it loads, so the script runs in a
-subprocess with one OpenBLAS thread.
+and full sweeps and both criterion-8 sweeps.  Their bytes depend on the
+BLAS thread count, which numpy fixes when it loads, so the script runs
+in a subprocess with one OpenBLAS thread.
 """
 
 import os
