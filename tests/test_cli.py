@@ -524,7 +524,7 @@ def test_version_flag(capsys):
     (["sweep"], ["--b", "--m", "--omega-start", "--omega-end", "--omega-step",
                  "--nodes", "--modes", "--tol", "--max-iter", "--out", "--no-timestamp"]),
     (["render"], ["states", "--out", "--samples"]),
-])
+], ids=["vstates", "dispersion", "solve", "sweep", "render"])
 def test_help_lists_every_option(capsys, monkeypatch, argv, options):
     """argparse expands `%(default)` only when help is asked for, so a
     stray `%` in a help string fails nowhere else."""
