@@ -150,7 +150,8 @@ def build_parser() -> _Parser:
     shape.add_argument("--m", type=int, required=True, help="fold count")
     solver = argparse.ArgumentParser(add_help=False)
     solver.add_argument("--nodes", type=int, default=None,
-                        help="quadrature nodes N (default 128*m)")
+                        help="quadrature nodes N (default 128*m); at N >= 2*N0, with N0 = m*(2M + 1) "
+                             "the alias-free grid, Newton iterates on N0 and certifies on N")
     solver.add_argument("--modes", type=int, default=None,
                         help="coefficient truncation M (default (N/m - 1) // 2)")
     solver.add_argument("--tol", type=float, default=SolverConfig.tol,

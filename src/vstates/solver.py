@@ -8,6 +8,20 @@ half-sector nodes, which determine those at the other quadrature nodes
 by symmetry, not on the projected coefficients, so a converged report
 certifies the boundary equations themselves.
 
+Two grids: the discrete problem is fixed once N reaches the alias bound
+2 m M + 1, so a solve whose requested N is at least twice N0, the
+smallest multiple of m at or above that bound, iterates on N0: the cold
+start, every assembly, every Jacobian and the chord steps.  A state that
+converges there is assembled once on the requested N, whose nodes the
+iteration never sampled.  If it passes tol there it is done; if not,
+the iteration goes on on N with the same 2M x 2M inverse, and only a
+step on N earns a polish there.  Below 2 N0 the solve runs on N alone.
+At m = 4, M = 31 (N0 = 252) each of the 333 states of the full
+criterion-7 sweep at N = 512 passes on N without a step.  N0's residual
+reaches rounding whatever M is, since the projection there keeps all M
+degrees of freedom of the pointwise residual; N's also holds the tail
+beyond M, so a truncation too short for tol fails on N.
+
 Chord Newton: a solve given a `ChordFactors` (the warm solves of a
 branch sweep) reuses the inverse of an earlier Jacobian, the one it
 is handed or the one it forms itself, and forms a fresh Jacobian only
@@ -50,11 +64,11 @@ system raise `GeometryBreakdown` / `SingularJacobian`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contour import InvalidContour, VortexContourCoeffs, perturbed_annulus
+from .contour import InvalidContour, VortexContourCoeffs, _grid_fault, perturbed_annulus
 from .dispersion import kernel_vector, nearer_eigenvalue
 from .residual import assemble, jacobian, omega_column
 
@@ -125,7 +139,8 @@ class SolverConfig:
 
     modes is the truncation M of the unknown coefficient arrays and
     nodes the quadrature grid size N; N must be a multiple of the fold
-    and satisfy N >= 2 m M + 1 (enforced at sampling time).
+    and satisfy N >= 2 m M + 1 (enforced by `newton_solve` and at
+    sampling time).  modes, nodes and max_iter are ints.
     """
 
     modes: int
@@ -134,6 +149,10 @@ class SolverConfig:
     max_iter: int = 50
 
     def __post_init__(self):
+        for name in ("modes", "nodes", "max_iter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.modes < 1:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.nodes < 1:
@@ -149,9 +168,13 @@ class SolveReport:
     """Outcome of one Newton run.
 
     residual_max is the measure of the last assembly, at the returned
-    coefficients; an independent re-assembly, one more residual_history
-    entry, re-verifies it only when `normalize_signs` flips the state.
-    residual_history holds the measure before the first and after each update.
+    coefficients, always on the requested grid config.nodes; an
+    independent re-assembly, one more residual_history entry, re-verifies
+    it only when `normalize_signs` flips the state.  residual_history
+    holds the measure before the first and after each update.  A solve
+    that iterates on the alias-free grid N0 (module docstring) holds N0's
+    entries first, then the check on the requested grid and the entries
+    of any steps there; iterations counts the steps on both grids.
     """
 
     coeffs: VortexContourCoeffs
@@ -239,9 +262,9 @@ def _branch_curvature(
     """Coefficient c of omega(s) = omega0 + c s^2 along the branch.
 
     Solves the equations truncated to the first two modes (the shape
-    carries min(2, M) modes on the solve's N nodes, so `assemble` and
-    `jacobian` return exactly the truncated residual and its 4 x 4
-    Jacobian), at first-mode amplitude CURVATURE_AMPLITUDE along
+    carries min(2, M) modes on config.nodes, the grid the solve iterates
+    on, so `assemble` and `jacobian` return exactly the truncated
+    residual and its 4 x 4 Jacobian), at first-mode amplitude CURVATURE_AMPLITUDE along
     `direction` and with omega as an extra unknown.  Two modes suffice:
     the second-mode response enters the first-mode equation at third
     order, the third mode only at fifth.  The residual is affine in
@@ -323,12 +346,13 @@ def newton_solve(
     -------
     SolveReport
         converged=False when max_iter runs out; iterations counts the
-        Newton updates actually applied.
+        Newton updates actually applied, on both grids.
 
     Raises
     ------
     ValueError
-        If omega is not finite or the seed does not match the solve.
+        If omega is not finite, the seed does not match the solve or
+        config.nodes is not an alias-free grid for fold m.
     GeometryBreakdown
         If an update leaves the space of valid shapes.
     SingularJacobian
@@ -344,21 +368,39 @@ def newton_solve(
             f"modes={config.modes})"
         )
 
-    current = _cold_start(seed, omega, config)
-    residual = assemble(current, omega, config.nodes)
+    if fault := _grid_fault(config.nodes, m, config.modes):
+        raise ValueError(fault)
+
+    # Iterate on the smallest alias-free grid N0 when the requested grid
+    # is at least twice as large; `certify` moves to the requested grid.
+    alias_free = m * (2 * config.modes + 1)
+    nodes = alias_free if config.nodes >= 2 * alias_free else config.nodes
+    current = _cold_start(seed, omega, replace(config, nodes=nodes))
+    residual = assemble(current, omega, nodes)
     history = [residual.max_abs]
     iterations = 0
-    trivial = False
     inverse = None if chord is None else chord.inverse
 
     def update():
         x = current.as_vector() - inverse @ residual.as_vector()
         updated = VortexContourCoeffs.from_vector(x, b, m, config.modes)
-        return updated, assemble(updated, omega, config.nodes)
+        return updated, assemble(updated, omega, nodes)
+
+    def certify():
+        nonlocal nodes, residual
+        nodes = config.nodes
+        try:
+            residual = assemble(current, omega, nodes)
+        except InvalidContour as exc:
+            raise GeometryBreakdown(iterations, str(exc)) from exc
+        history.append(residual.max_abs)
 
     while True:
         while residual.max_abs >= config.tol:
             if iterations >= config.max_iter:
+                if nodes < config.nodes:
+                    certify()
+                    continue
                 return SolveReport(
                     coeffs=current,
                     iterations=iterations,
@@ -369,7 +411,7 @@ def newton_solve(
                 )
             fresh = inverse is None
             if fresh:
-                inverse = _inverse_checked(jacobian(current, omega, config.nodes))
+                inverse = _inverse_checked(jacobian(current, omega, nodes))
             iterations += 1
             try:
                 current, residual = update()
@@ -393,15 +435,22 @@ def newton_solve(
                 history.append(residual.max_abs)
         trivial = float(np.max(np.abs(current.as_vector()))) < TRIVIAL_AMPLITUDE
         normalized = current if trivial else normalize_signs(current)
-        if normalized is current:
+        if normalized is not current:
+            # Re-verify the certificate on the normalized representative;
+            # if rounding nudged it back over tol the outer loop polishes
+            # it.  The inverse belongs to the other representative.
+            current = normalized
+            inverse = None
+            residual = assemble(current, omega, nodes)
+            history.append(residual.max_abs)
+        elif nodes == config.nodes:
             break
-        # Re-verify the certificate on the normalized representative; if
-        # rounding nudged it back over tol the outer loop polishes it.
-        # The inverse belongs to the other representative.
-        current = normalized
-        inverse = None
-        residual = assemble(current, omega, config.nodes)
-        history.append(residual.max_abs)
+        else:
+            # A state that passes tol on the requested grid is done; one
+            # that does not goes on there with the same 2M x 2M inverse.
+            certify()
+            if residual.max_abs < config.tol:
+                break
     if chord is not None:
         chord.inverse = inverse
     return SolveReport(

@@ -1,5 +1,6 @@
 """Newton iteration: convergence, failure surfaces, normalization."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from vstates import (
     load_state,
     newton_solve,
     perturbed_annulus,
+    sweep,
 )
 from vstates.contour import InvalidContour
 from vstates.residual import jacobian
@@ -43,6 +45,16 @@ def test_config_validation():
             SolverConfig(modes=4, nodes=64, tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(modes=4, nodes=64, max_iter=0)
+    for sizes in (
+        dict(modes=3.5, nodes=64),
+        dict(modes=True, nodes=64),
+        dict(modes=31, nodes=256.0),
+        dict(modes=4, nodes=64, max_iter=2.5),
+        dict(modes=4, nodes=64, max_iter=True),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SolverConfig(**sizes)
+    assert SolverConfig(modes=np.int64(31), nodes=np.int64(256)).nodes == 256
 
 
 def test_default_modes_rule():
@@ -199,23 +211,30 @@ def test_two_mode_curvature_matches_the_full_block(b, m, nodes, modes):
         assert abs(curvature - full) <= 1e-9 * abs(full)
 
 
-def test_cold_start_linearizes_two_modes(monkeypatch):
-    """The curvature solve of a cold start never assembles or linearizes
-    the solve's full M-mode shape."""
-    modes = []
+def _record_calls(monkeypatch):
+    """(function name, mode count, N) of every assemble and jacobian call
+    of the solver."""
+    calls = []
 
     def recording(function):
         def wrapper(coeffs, omega, nodes):
-            modes.append(coeffs.modes)
+            calls.append((function.__name__, coeffs.modes, nodes))
             return function(coeffs, omega, nodes)
 
         return wrapper
 
     monkeypatch.setattr("vstates.solver.assemble", recording(assemble))
     monkeypatch.setattr("vstates.solver.jacobian", recording(jacobian))
+    return calls
+
+
+def test_cold_start_linearizes_two_modes(monkeypatch):
+    """The curvature solve of a cold start never assembles or linearizes
+    the solve's full M-mode shape."""
+    calls = _record_calls(monkeypatch)
     seed = perturbed_annulus(0.63, 4, 31, a1_1=0.02)
     _cold_start(seed, 0.152, SolverConfig(modes=31, nodes=256))
-    assert modes and max(modes) <= 2
+    assert calls and max(modes for _, modes, _ in calls) <= 2
 
 
 def test_cold_start_keeps_seeds_it_cannot_place():
@@ -268,6 +287,66 @@ def test_polish_that_leaves_the_contours_keeps_the_converged_state(
     assert report.residual_max == residual.max_abs
     assert report.iterations == polished.iterations - 1
     assert report.residual_history == polished.residual_history[:-1]
+
+
+@pytest.mark.parametrize(
+    "nodes, modes, iterate",
+    [(512, 31, 252), (504, 31, 252), (500, 31, 500), (256, 31, 256), (512, 63, 512)],
+    ids=["N=512,M=31", "N=2N0", "N=2N0-4", "N=256,M=31", "N=512,M=63"],
+)
+def test_solve_iterates_on_the_alias_free_grid_from_twice_its_size(monkeypatch, nodes, modes, iterate):
+    """N0 = m (2M + 1) is 252 at m = 4, M = 31 and 508 at M = 63.  From
+    N = 2 N0 up every Jacobian and every assemble but the last is on N0,
+    and the last certifies the state on N; below, every call is on N."""
+    calls = _record_calls(monkeypatch)
+    config = SolverConfig(modes=modes, nodes=nodes)
+    seed = perturbed_annulus(0.63, 4, modes, a1_1=0.06)
+    report = newton_solve(0.63, 0.152, 4, seed, config)
+    assert report.converged and not report.trivial
+    assert {grid for name, _, grid in calls if name == "jacobian"} == {iterate}
+    *iterations, last = [grid for name, _, grid in calls if name == "assemble"]
+    assert set(iterations) == {iterate} and last == nodes
+    assert report.residual_max == assemble(report.coeffs, 0.152, nodes).max_abs
+    assert len(report.residual_history) == report.iterations + 1 + (iterate != nodes)
+
+
+def test_two_grid_sweep_and_stall_report_the_requested_grid(monkeypatch):
+    """Chord solves along a sweep at N = 512, M = 31 linearize on N0 = 252
+    only, and every record and an unconverged report carry N's residual."""
+    calls = _record_calls(monkeypatch)
+    config = SolverConfig(modes=31, nodes=512)
+    branch = sweep(0.63, 4, 0.150, 0.152, 1e-3, config)
+    assert len(branch.records) == 3
+    assert {grid for name, _, grid in calls if name == "jacobian"} == {252}
+    for record in branch.records:
+        residual = assemble(record.report.coeffs, record.omega, 512).max_abs
+        assert record.report.residual_max == residual < config.tol
+    seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
+    stalled = newton_solve(0.63, 0.152, 4, seed, replace(config, max_iter=2))
+    assert not stalled.converged and stalled.iterations == 2
+    assert stalled.residual_max == assemble(stalled.coeffs, 0.152, 512).max_abs
+    assert stalled.residual_history[-1] == stalled.residual_max
+
+
+def test_state_that_fails_the_requested_grid_steps_on_it(monkeypatch):
+    """At M = 8 the pointwise residual on N = 512 holds modes beyond the
+    truncation that N0 = 68 does not sample.  With tol = 7e-7 the N0
+    iteration converges to 4.3e-8, that state reads 9.4e-7 on N, and one
+    Newton step on N reaches 5.3e-7: the solve goes on on N and is
+    certified there."""
+    calls = _record_calls(monkeypatch)
+    config = SolverConfig(modes=8, nodes=512, tol=7e-7)
+    seed = perturbed_annulus(0.63, 4, 8, a1_1=0.06)
+    report = newton_solve(0.63, 0.14, 4, seed, config)
+    assert report.converged and not report.trivial
+    jacobians = [grid for name, _, grid in calls if name == "jacobian"]
+    fine = jacobians.index(512)
+    assert set(jacobians[:fine]) == {68} and set(jacobians[fine:]) == {512}
+    history = report.residual_history
+    converged_on_n0 = next(i for i, entry in enumerate(history) if entry < config.tol)
+    assert history[converged_on_n0 + 1] > config.tol > history[-1] == report.residual_max
+    assert report.residual_max == assemble(report.coeffs, 0.14, 512).max_abs
+    assert len(history) == report.iterations + 2
 
 
 def test_max_iter_exhaustion_is_a_report_not_an_error():
