@@ -10,17 +10,16 @@ certifies the boundary equations themselves.
 
 Two grids: the discrete problem is fixed once N reaches the alias bound
 2 m M + 1, so a solve whose requested N is at least twice N0, the
-smallest multiple of m at or above that bound, iterates on N0: the cold
-start, every assembly, every Jacobian and the chord steps.  A state that
-converges there is assembled once on the requested N, whose nodes the
-iteration never sampled.  If it passes tol there it is done; if not,
-the iteration goes on on N with the same 2M x 2M inverse, and only a
-step on N earns a polish there.  Below 2 N0 the solve runs on N alone.
-At m = 4, M = 31 (N0 = 252) each of the 333 states of the full
-criterion-7 sweep at N = 512 passes on N without a step.  N0's residual
-reaches rounding whatever M is, since the projection there keeps all M
-degrees of freedom of the pointwise residual; N's also holds the tail
-beyond M, so a truncation too short for tol fails on N.
+smallest multiple of m at or above that bound, runs its Newton loop on
+N0, then on N; below 2 N0, on N alone.  On each grid the loop assembles
+the state, steps until tol or the shared max_iter budget, polishes and
+normalizes.  On N, whose nodes N0 never sampled, the assembly certifies
+N0's state; only a state that fails tol there steps on N, with the same
+2M x 2M inverse.  At m = 4, M = 31 (N0 = 252) each of the 333 states of
+the full criterion-7 sweep at N = 512 passes on N without a step.  N0's
+residual reaches rounding whatever M is, since the projection there
+keeps all M degrees of freedom of the pointwise residual; N's also holds
+the tail beyond M, so a truncation too short for tol fails on N.
 
 Chord Newton: a solve given a `ChordFactors` (the warm solves of a
 branch sweep) reuses the inverse of an earlier Jacobian, the one it
@@ -32,7 +31,8 @@ bifurcation point that gap matters: at b = 0.63, omega = 0.1674 the
 smallest singular value of J is 6e-5, and a chord state was 3.7e-10
 from the solution where Newton's was 3.6e-11.  A converged chord solve
 therefore takes one more step with its inverse and keeps it when it
-lowers the residual.  A solve given no ChordFactors forms a fresh
+lowers the residual, on the first grid even without a step, on N only
+after a step there.  A solve given no ChordFactors forms a fresh
 Jacobian at every step.
 
 Cold starts: a seed that is the annulus displaced in its first mode
@@ -65,12 +65,13 @@ system raise `GeometryBreakdown` / `SingularJacobian`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from numbers import Real
 
 import numpy as np
 
 from .contour import InvalidContour, VortexContourCoeffs, _grid_fault, perturbed_annulus
 from .dispersion import kernel_vector, nearer_eigenvalue
-from .residual import assemble, jacobian, omega_column
+from .residual import DiscreteResidual, assemble, jacobian, omega_column
 
 __all__ = [
     "SolverConfig",
@@ -78,6 +79,7 @@ __all__ = [
     "ChordFactors",
     "GeometryBreakdown",
     "SingularJacobian",
+    "default_modes",
     "fd_jacobian",
     "newton_solve",
     "normalize_signs",
@@ -140,7 +142,7 @@ class SolverConfig:
     modes is the truncation M of the unknown coefficient arrays and
     nodes the quadrature grid size N; N must be a multiple of the fold
     and satisfy N >= 2 m M + 1 (enforced by `newton_solve` and at
-    sampling time).  modes, nodes and max_iter are ints.
+    sampling time).  modes, nodes and max_iter are ints, tol a real.
     """
 
     modes: int
@@ -157,6 +159,8 @@ class SolverConfig:
             raise ValueError(f"modes must be positive, got {self.modes}")
         if self.nodes < 1:
             raise ValueError(f"nodes must be positive, got {self.nodes}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, Real):
+            raise ValueError(f"tol must be a real number, got {self.tol!r}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
@@ -168,13 +172,12 @@ class SolveReport:
     """Outcome of one Newton run.
 
     residual_max is the measure of the last assembly, at the returned
-    coefficients, always on the requested grid config.nodes; an
-    independent re-assembly, one more residual_history entry, re-verifies
-    it only when `normalize_signs` flips the state.  residual_history
-    holds the measure before the first and after each update.  A solve
-    that iterates on the alias-free grid N0 (module docstring) holds N0's
-    entries first, then the check on the requested grid and the entries
-    of any steps there; iterations counts the steps on both grids.
+    coefficients, always on the requested grid config.nodes.
+    residual_history holds, grid by grid (module docstring), the measure
+    of the grid's first assembly (the seed's, or on N the check of N0's
+    state) and the measure after each update; a state that
+    `normalize_signs` flips is re-assembled on the same grid, one more
+    entry.  iterations counts the steps on both grids.
     """
 
     coeffs: VortexContourCoeffs
@@ -314,6 +317,14 @@ def _cold_start(
     return perturbed_annulus(seed.b, seed.fold, seed.modes, a1_1=a1_1, a2_1=a2_1)
 
 
+def _updated(
+    coeffs: VortexContourCoeffs, inverse: np.ndarray, residual: DiscreteResidual
+) -> VortexContourCoeffs:
+    """coeffs after the update x - J^-1 F."""
+    x = coeffs.as_vector() - inverse @ residual.as_vector()
+    return VortexContourCoeffs.from_vector(x, coeffs.b, coeffs.fold, coeffs.modes)
+
+
 def newton_solve(
     b: float,
     omega: float,
@@ -338,9 +349,9 @@ def newton_solve(
         Discretization and iteration parameters.
     chord : ChordFactors, optional
         Chord Newton (module docstring): start from chord.inverse when
-        it holds an inverse and leave the reusable inverse there at the
-        end.
-        Without it every step forms a fresh Jacobian.
+        it holds an inverse and leave the reusable inverse there when
+        the solve converges.  Without it every step forms a fresh
+        Jacobian.
 
     Returns
     -------
@@ -353,8 +364,10 @@ def newton_solve(
     ValueError
         If omega is not finite, the seed does not match the solve or
         config.nodes is not an alias-free grid for fold m.
+    InvalidContour
+        If the starting shape (the seed or its cold start) is not valid.
     GeometryBreakdown
-        If an update leaves the space of valid shapes.
+        If an update or the check on N leaves the space of valid shapes.
     SingularJacobian
         If a Jacobian's guard value 1 / ||J^-1||_inf falls below
         MIN_PIVOT.
@@ -371,50 +384,36 @@ def newton_solve(
     if fault := _grid_fault(config.nodes, m, config.modes):
         raise ValueError(fault)
 
-    # Iterate on the smallest alias-free grid N0 when the requested grid
-    # is at least twice as large; `certify` moves to the requested grid.
+    # Iterate on N0, the smallest alias-free grid, when the requested grid
+    # is at least twice as large; the last grid is always N.
     alias_free = m * (2 * config.modes + 1)
-    nodes = alias_free if config.nodes >= 2 * alias_free else config.nodes
-    current = _cold_start(seed, omega, replace(config, nodes=nodes))
-    residual = assemble(current, omega, nodes)
-    history = [residual.max_abs]
+    grids = [config.nodes]
+    if config.nodes >= 2 * alias_free:
+        grids.insert(0, alias_free)
+    current = _cold_start(seed, omega, replace(config, nodes=grids[0]))
+    history: list[float] = []
     iterations = 0
+    polished_at = None  # iterations after the last polish tried
     inverse = None if chord is None else chord.inverse
-
-    def update():
-        x = current.as_vector() - inverse @ residual.as_vector()
-        updated = VortexContourCoeffs.from_vector(x, b, m, config.modes)
-        return updated, assemble(updated, omega, nodes)
-
-    def certify():
-        nonlocal nodes, residual
-        nodes = config.nodes
+    while grids:
+        nodes = grids[0]
+        # Past the seed's own assembly (the check on N, the re-verification
+        # of a normalized state) an invalid contour is a breakdown.
         try:
             residual = assemble(current, omega, nodes)
         except InvalidContour as exc:
+            if not history:
+                raise
             raise GeometryBreakdown(iterations, str(exc)) from exc
         history.append(residual.max_abs)
-
-    while True:
-        while residual.max_abs >= config.tol:
-            if iterations >= config.max_iter:
-                if nodes < config.nodes:
-                    certify()
-                    continue
-                return SolveReport(
-                    coeffs=current,
-                    iterations=iterations,
-                    residual_max=residual.max_abs,
-                    converged=False,
-                    trivial=False,
-                    residual_history=history,
-                )
+        while residual.max_abs >= config.tol and iterations < config.max_iter:
             fresh = inverse is None
             if fresh:
                 inverse = _inverse_checked(jacobian(current, omega, nodes))
             iterations += 1
+            current = _updated(current, inverse, residual)
             try:
-                current, residual = update()
+                residual = assemble(current, omega, nodes)
             except InvalidContour as exc:
                 raise GeometryBreakdown(iterations, str(exc)) from exc
             if chord is None or (
@@ -422,42 +421,42 @@ def newton_solve(
             ):
                 inverse = None
             history.append(residual.max_abs)
-        if inverse is not None and iterations < config.max_iter:
+        converged = residual.max_abs < config.tol
+        if (
+            converged
+            and inverse is not None
+            and iterations < config.max_iter
+            and polished_at != iterations
+        ):
             # Polish: chord steps converge linearly and stop just under
-            # tol, where a full Newton step lands far below it.
+            # tol, where a full Newton step lands far below it.  Tried
+            # once per run of steps (on the first grid even with none),
+            # so a state that passes on N without a step keeps N0's.
+            polished = _updated(current, inverse, residual)
             try:
-                polished, polished_residual = update()
+                polished_residual = assemble(polished, omega, nodes)
             except InvalidContour:
                 polished_residual = residual
             if polished_residual.max_abs < residual.max_abs:
                 current, residual = polished, polished_residual
                 iterations += 1
                 history.append(residual.max_abs)
+            polished_at = iterations
         trivial = float(np.max(np.abs(current.as_vector()))) < TRIVIAL_AMPLITUDE
-        normalized = current if trivial else normalize_signs(current)
-        if normalized is not current:
-            # Re-verify the certificate on the normalized representative;
-            # if rounding nudged it back over tol the outer loop polishes
-            # it.  The inverse belongs to the other representative.
-            current = normalized
-            inverse = None
-            residual = assemble(current, omega, nodes)
-            history.append(residual.max_abs)
-        elif nodes == config.nodes:
-            break
+        normalized = normalize_signs(current) if converged and not trivial else current
+        if normalized is current:
+            del grids[0]
         else:
-            # A state that passes tol on the requested grid is done; one
-            # that does not goes on there with the same 2M x 2M inverse.
-            certify()
-            if residual.max_abs < config.tol:
-                break
-    if chord is not None:
+            # Another pass on this grid re-verifies the normalized
+            # representative; the inverse belongs to the other one.
+            current, inverse = normalized, None
+    if chord is not None and converged:
         chord.inverse = inverse
     return SolveReport(
         coeffs=current,
         iterations=iterations,
         residual_max=residual.max_abs,
-        converged=True,
-        trivial=trivial,
+        converged=converged,
+        trivial=converged and trivial,
         residual_history=history,
     )

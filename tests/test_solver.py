@@ -54,6 +54,9 @@ def test_config_validation():
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             SolverConfig(**sizes)
+    for tol in (True, "1e-12"):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            SolverConfig(modes=1, nodes=3, tol=tol)
     assert SolverConfig(modes=np.int64(31), nodes=np.int64(256)).nodes == 256
 
 
@@ -147,16 +150,29 @@ def test_determinism(reference_state):
     assert again.iterations == reference_state.iterations
 
 
-def test_parity_flipped_seed_reaches_same_representative(reference_state):
-    seed = perturbed_annulus(REFERENCE_B, REFERENCE_M, 31, a1_1=-0.06)
-    report = newton_solve(
-        REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, seed, REFERENCE_CONFIG
+@pytest.mark.parametrize("nodes", [256, 512], ids=["N=256", "N=512"])
+def test_parity_flipped_seed_reaches_same_representative(nodes):
+    """The a1_1 < 0 seed converges to the other representative, which is
+    flipped and re-assembled on the grid it converged on; at N = 512
+    that is N0 = 252, and the flipped state is then checked on N."""
+    config = replace(REFERENCE_CONFIG, nodes=nodes)
+    positive, report = (
+        newton_solve(
+            REFERENCE_B,
+            REFERENCE_OMEGA,
+            REFERENCE_M,
+            perturbed_annulus(REFERENCE_B, REFERENCE_M, 31, a1_1=a1_1),
+            config,
+        )
+        for a1_1 in (0.06, -0.06)
     )
-    assert report.converged
-    assert report.iterations == reference_state.iterations
+    assert report.converged and report.coeffs.a1[0] > 0
+    assert report.iterations == positive.iterations
     assert np.abs(
-        report.coeffs.as_vector() - reference_state.coeffs.as_vector()
+        report.coeffs.as_vector() - positive.coeffs.as_vector()
     ).max() < 1e-12
+    assert report.residual_max == assemble(report.coeffs, REFERENCE_OMEGA, nodes).max_abs
+    assert len(report.residual_history) == report.iterations + 2 + (nodes == 512)
 
 
 def test_cold_start_predicts_the_branch_amplitude():
@@ -312,7 +328,8 @@ def test_solve_iterates_on_the_alias_free_grid_from_twice_its_size(monkeypatch, 
 
 def test_two_grid_sweep_and_stall_report_the_requested_grid(monkeypatch):
     """Chord solves along a sweep at N = 512, M = 31 linearize on N0 = 252
-    only, and every record and an unconverged report carry N's residual."""
+    only, and every record and an unconverged report carry N's residual.
+    A chord state polished on N0 that passes on N is not polished again."""
     calls = _record_calls(monkeypatch)
     config = SolverConfig(modes=31, nodes=512)
     branch = sweep(0.63, 4, 0.150, 0.152, 1e-3, config)
@@ -321,6 +338,11 @@ def test_two_grid_sweep_and_stall_report_the_requested_grid(monkeypatch):
     for record in branch.records:
         residual = assemble(record.report.coeffs, record.omega, 512).max_abs
         assert record.report.residual_max == residual < config.tol
+    calls.clear()
+    chord = newton_solve(0.63, 0.153, 4, branch.records[-1].report.coeffs, config, ChordFactors())
+    assert chord.converged and chord.iterations == 7
+    # the seed, 6 steps and the polish on N0, then the check on N
+    assert [grid for name, _, grid in calls if name == "assemble"] == [252] * 8 + [512]
     seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
     stalled = newton_solve(0.63, 0.152, 4, seed, replace(config, max_iter=2))
     assert not stalled.converged and stalled.iterations == 2
@@ -368,6 +390,32 @@ def test_geometry_breakdown_surfaces_iteration_index():
         newton_solve(0.5, 0.3, 4, seed, config)
     assert excinfo.value.iteration >= 1
     assert "iteration" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("nodes", [256, 512])
+def test_seed_that_is_not_a_contour_raises_invalid_contour(nodes):
+    # omega = 0.3 lies past the pair of b = 0.5, so the seed is used as
+    # given, and its inner radius 0.5 + 0.6 cos(4 theta) turns negative
+    seed = perturbed_annulus(0.5, 4, 31, a2_1=0.6)
+    with pytest.raises(InvalidContour):
+        newton_solve(0.5, 0.3, 4, seed, SolverConfig(modes=31, nodes=nodes))
+
+
+def test_state_that_is_not_a_contour_on_n_is_a_breakdown(monkeypatch):
+    """An invalid contour at the check on N is a GeometryBreakdown at the
+    steps taken on N0."""
+
+    def failing_on_n(coeffs, omega, nodes):
+        if nodes == 512:
+            raise InvalidContour("not a contour on N")
+        return assemble(coeffs, omega, nodes)
+
+    monkeypatch.setattr("vstates.solver.assemble", failing_on_n)
+    seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
+    with pytest.raises(GeometryBreakdown) as excinfo:
+        newton_solve(0.63, 0.152, 4, seed, SolverConfig(modes=31, nodes=512))
+    assert excinfo.value.iteration == 6
+    assert isinstance(excinfo.value.__cause__, InvalidContour)
 
 
 def test_singular_jacobian_guard():
