@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,7 +35,6 @@ __all__ = [
     "InvalidContour",
     "VortexContourCoeffs",
     "SampledContour",
-    "BoundaryTrace",
     "perturbed_annulus",
     "sample",
     "boundary_distance",
@@ -126,13 +124,6 @@ def perturbed_annulus(
     return VortexContourCoeffs(b=b, fold=fold, modes=modes, a1=a1, a2=a2)
 
 
-class BoundaryTrace(NamedTuple):
-    """One sampled boundary: node positions and parameter derivatives."""
-
-    z: ComplexArray
-    dz: ComplexArray
-
-
 @dataclass(frozen=True, eq=False)
 class SampledContour:
     """Both boundaries sampled on the uniform angular grid.
@@ -149,14 +140,6 @@ class SampledContour:
     z2: ComplexArray
     dz1: ComplexArray
     dz2: ComplexArray
-
-    @property
-    def outer(self) -> BoundaryTrace:
-        return BoundaryTrace(self.z1, self.dz1)
-
-    @property
-    def inner(self) -> BoundaryTrace:
-        return BoundaryTrace(self.z2, self.dz2)
 
 
 @functools.lru_cache(maxsize=16)

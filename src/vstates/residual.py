@@ -297,7 +297,6 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     np.multiply(1j, right[:, 0::2], out=right[:, 1::2])
     # Re(G; H) as 2(N/m) x targets floats, in the memory of work[0]
     real = work[0].view(np.float64).reshape(2 * count, 2 * half)
-    diag = np.arange(half)
     # I and the target-motion sums, over the sources with sign +1 (outer) and -1 (inner)
     induced = np.zeros(2 * half, dtype=np.complex128)
     sum_p = np.zeros(2 * half, dtype=np.complex128)
@@ -305,11 +304,14 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     jac = np.empty((2 * modes, 2 * modes))
     for s, sign in ((0, 1.0), (1, -1.0)):
         source = boundaries[s]
-        np.subtract(source.zm[:, None], target_m[None, :], out=table)
+        table[:] = target_m
+        np.subtract(source.zm[:, None], table, out=table)
         own = rows[s]  # the targets on the source boundary itself
-        table[diag, diag + own.start] = 1.0  # placeholder; the entry is zeroed below
+        # entry (i, own.start + i) for each node i under a target, a view
+        diag = table.reshape(-1)[own.start :: 2 * half + 1][:half]
+        diag[:] = 1.0  # placeholder; the entry is zeroed below
         np.divide(fold, table, out=table)
-        table[diag, diag + own.start] = 0.0
+        diag[:] = 0.0
         moved, rho = source.power * unit, source.conj * unit  # P u, conj(zeta) u
         pow_ratio = moved * source.dz / source.z  # L
         left[0, :, 0] = source.dz * np.conj(unit) + 1j * rho  # A

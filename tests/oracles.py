@@ -49,8 +49,8 @@ def kernel_integral(targets, source, diagonal: Diagonal):
     ----------
     targets : array_like of complex
         Evaluation points.
-    source : BoundaryTrace
-        Sampled source boundary (nodes and derivatives).
+    source : (z, dz)
+        Sampled source boundary: its nodes and their derivatives.
     diagonal : {"on_curve", "off_curve"}
         "on_curve" requires targets to be exactly the source nodes,
         index aligned, and applies the removable-singularity limit on
@@ -64,18 +64,19 @@ def kernel_integral(targets, source, diagonal: Diagonal):
         One integral value per target.
     """
     targets = np.asarray(targets, dtype=np.complex128)
+    z, dz = source
     if targets.ndim != 1:
         raise ValueError(f"targets must be one-dimensional, got shape {targets.shape}")
     if diagonal == "on_curve":
-        if len(targets) != len(source.z) or not np.array_equal(targets, source.z):
+        if len(targets) != len(z) or not np.array_equal(targets, z):
             raise ValueError(
                 "on_curve evaluation requires the targets to be exactly the "
                 "source nodes, index aligned"
             )
-        nodes = _nodes(source.z, source.dz, 1)
+        nodes = _nodes(z, dz, 1)
         return kernel_sums(nodes, nodes, True)
     if diagonal == "off_curve":
-        separation = float(np.min(np.abs(source.z[None, :] - targets[:, None])))
+        separation = float(np.min(np.abs(z[None, :] - targets[:, None])))
         if separation < OFF_CURVE_MIN_SEPARATION:
             raise ValueError(
                 f"target within {separation:.3e} of a source node; "
@@ -83,7 +84,7 @@ def kernel_integral(targets, source, diagonal: Diagonal):
                 f"{OFF_CURVE_MIN_SEPARATION:.0e}"
             )
         return kernel_sums(
-            _nodes(targets, np.zeros_like(targets), 1), _nodes(source.z, source.dz, 1), False
+            _nodes(targets, np.zeros_like(targets), 1), _nodes(z, dz, 1), False
         )
     raise ValueError(f"diagonal must be 'on_curve' or 'off_curve', got {diagonal!r}")
 
@@ -111,7 +112,7 @@ def vstate_residual_pointwise(sc, omega):
     Both vanish identically exactly when the sampled shape is a discrete
     V-state at angular velocity omega.
     """
-    outer, inner = (_nodes(trace.z, trace.dz, 1) for trace in (sc.outer, sc.inner))
+    outer, inner = _nodes(sc.z1, sc.dz1, 1), _nodes(sc.z2, sc.dz2, 1)
     return _pointwise(outer, inner, omega, sc.nodes)
 
 

@@ -58,10 +58,10 @@ def test_criterion_2_critical_radii():
 def test_criterion_3_annulus_quadrature_closed_forms():
     for b in (0.2, 0.5, 0.85):
         sc = sample(perturbed_annulus(b, 1, 1), 256)
-        outer_self = kernel_integral(sc.z1, sc.outer, diagonal="on_curve")
-        inner_self = kernel_integral(sc.z2, sc.inner, diagonal="on_curve")
-        cross_down = kernel_integral(sc.z1, sc.inner, diagonal="off_curve")
-        cross_up = kernel_integral(sc.z2, sc.outer, diagonal="off_curve")
+        outer_self = kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="on_curve")
+        inner_self = kernel_integral(sc.z2, (sc.z2, sc.dz2), diagonal="on_curve")
+        cross_down = kernel_integral(sc.z1, (sc.z2, sc.dz2), diagonal="off_curve")
+        cross_up = kernel_integral(sc.z2, (sc.z1, sc.dz1), diagonal="off_curve")
         outer_field = outer_self - cross_down
         inner_field = cross_up - inner_self
         assert np.abs(outer_field - (b * b - 1.0) / sc.z1).max() < 1e-12
@@ -199,8 +199,8 @@ def test_criterion_9_property_suite(reference_state, tmp_path):
 
     # doubling the quadrature grid leaves node values unchanged
     fine = sample(coeffs, 2 * nodes)
-    coarse_sums = kernel_integral(sc.z1, sc.outer, diagonal="on_curve")
-    fine_sums = kernel_integral(fine.z1, fine.outer, diagonal="on_curve")
+    coarse_sums = kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="on_curve")
+    fine_sums = kernel_integral(fine.z1, (fine.z1, fine.dz1), diagonal="on_curve")
     assert np.abs(coarse_sums - fine_sums[::2]).max() < 1e-12
 
     # serialization round-trip is bit exact

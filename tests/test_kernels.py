@@ -117,3 +117,45 @@ def test_kernel_table_working_set_is_bounded():
     source = kernels._nodes(sc.z1[:sector], sc.dz1[:sector], fold)
     targets = source.head(sector // 2 + 1)
     assert traced_peak(lambda: kernels.kernel_sums(targets, source, True)) < 2 << 20
+
+
+def per_block_sums(target, source, self_source):
+    """`kernel_sums` with each block's table formed by one broadcast
+    subtraction into a fresh array, then the placeholder, the reciprocal
+    and the product with the weights: the formula that the in-place
+    build must match bit for bit."""
+    fold, count, rows = source.fold, len(source), len(target)
+    sums = np.empty((rows, 2), dtype=np.complex128)
+    step = kernels._block_rows(16 * count)
+    for start in range(0, rows, step):
+        table = np.subtract(source.zm, target.zm[start : start + step, None])
+        if self_source:
+            diag = table.reshape(-1)[start :: count + 1]
+            diag[:] = 1.0
+        np.reciprocal(table, out=table)
+        if self_source:
+            diag[:] = 0.0
+        np.matmul(table, source.weights, out=sums[start : start + step])
+    total = fold * (target.power * sums[:, 0] - target.conj * sums[:, 1])
+    if self_source:
+        dz = source.dz[:rows]
+        total += np.conj(dz) - (fold - 1) * target.conj * dz / target.z
+    return total / (1j * fold * count)
+
+
+def test_multi_block_tables_match_the_per_block_formula():
+    """The half-sector tables of the 8N and 16N refinement grids, N/m = 512
+    and 1024, span 3 and 9 row blocks; their self and cross sums at folds
+    4 and 12 are bit for bit those of the per-block formula."""
+    for fold in (4, 12):
+        coeffs = perturbed_annulus(0.6, fold, 31, a1_1=0.03, a2_1=-0.02)
+        for count, blocks in ((512, 3), (1024, 9)):
+            sc = sample(coeffs, fold * count)
+            outer = kernels._nodes(sc.z1[:count], sc.dz1[:count], fold)
+            inner = kernels._nodes(sc.z2[:count], sc.dz2[:count], fold)
+            targets = outer.head(count // 2 + 1)
+            assert -(-len(targets) // kernels._block_rows(16 * count)) == blocks
+            for source, self_source in ((outer, True), (inner, False)):
+                got = kernels.kernel_sums(targets, source, self_source)
+                want = per_block_sums(targets, source, self_source)
+                assert got.tobytes() == want.tobytes(), (fold, count, self_source)

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from vstates import perturbed_annulus, sample
-from vstates.contour import BoundaryTrace
 from vstates.kernels import _nodes, kernel_sums
 from vstates.residual import _pointwise, _sample
 
@@ -25,10 +24,10 @@ def test_circle_closed_forms():
     """Residue calculus gives every circle integral in closed form."""
     for b in (0.2, 0.5, 0.85):
         sc = sample(perturbed_annulus(b, 1, 1), 256)
-        outer_self = kernel_integral(sc.z1, sc.outer, diagonal="on_curve")
-        inner_self = kernel_integral(sc.z2, sc.inner, diagonal="on_curve")
-        cross_down = kernel_integral(sc.z1, sc.inner, diagonal="off_curve")
-        cross_up = kernel_integral(sc.z2, sc.outer, diagonal="off_curve")
+        outer_self = kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="on_curve")
+        inner_self = kernel_integral(sc.z2, (sc.z2, sc.dz2), diagonal="on_curve")
+        cross_down = kernel_integral(sc.z1, (sc.z2, sc.dz2), diagonal="off_curve")
+        cross_up = kernel_integral(sc.z2, (sc.z1, sc.dz1), diagonal="off_curve")
         # each circle induces -conj(z) on itself
         assert np.abs(outer_self + np.conj(sc.z1)).max() < 1e-12
         assert np.abs(inner_self + np.conj(sc.z2)).max() < 1e-12
@@ -44,8 +43,8 @@ def test_circle_closed_forms():
 def test_spectral_refinement():
     coarse_sc = deformed_contour(96)
     fine_sc = deformed_contour(192)
-    coarse = kernel_integral(coarse_sc.z1, coarse_sc.outer, diagonal="on_curve")
-    fine = kernel_integral(fine_sc.z1, fine_sc.outer, diagonal="on_curve")
+    coarse = kernel_integral(coarse_sc.z1, (coarse_sc.z1, coarse_sc.dz1), diagonal="on_curve")
+    fine = kernel_integral(fine_sc.z1, (fine_sc.z1, fine_sc.dz1), diagonal="on_curve")
     assert np.abs(coarse - fine[::2]).max() < 1e-12
 
 
@@ -83,21 +82,21 @@ def test_adaptive_quadrature_oracle():
 
     # off-curve target between the boundaries
     target = 0.75 * np.exp(0.4j)
-    got = kernel_integral(np.array([target]), sc.outer, diagonal="off_curve")[0]
+    got = kernel_integral(np.array([target]), (sc.z1, sc.dz1), diagonal="off_curve")[0]
     assert abs(got - adaptive(target)) < 1e-10
 
     # on-curve target at a node; the singularity is removable there
     i = 11
     theta_i = 2 * np.pi * i / 96
-    got_on = kernel_integral(sc.z1, sc.outer, diagonal="on_curve")[i]
+    got_on = kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="on_curve")[i]
     assert abs(got_on - adaptive(sc.z1[i], breakpoint=theta_i)) < 1e-9
 
 
 def test_rotation_equivariance(rng):
     sc = deformed_contour(96)
     phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-    base = kernel_integral(sc.z1, sc.outer, diagonal="on_curve")
-    rotated_source = BoundaryTrace(z=phase * sc.z1, dz=phase * sc.dz1)
+    base = kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="on_curve")
+    rotated_source = (phase * sc.z1, phase * sc.dz1)
     rotated = kernel_integral(phase * sc.z1, rotated_source, diagonal="on_curve")
     assert np.abs(rotated - np.conj(phase) * base).max() < 1e-13
 
@@ -105,24 +104,24 @@ def test_rotation_equivariance(rng):
 def test_on_curve_requires_aligned_targets():
     sc = deformed_contour(96)
     with pytest.raises(ValueError):
-        kernel_integral(np.roll(sc.z1, 1), sc.outer, diagonal="on_curve")
+        kernel_integral(np.roll(sc.z1, 1), (sc.z1, sc.dz1), diagonal="on_curve")
     with pytest.raises(ValueError):
-        kernel_integral(sc.z1[:48], sc.outer, diagonal="on_curve")
+        kernel_integral(sc.z1[:48], (sc.z1, sc.dz1), diagonal="on_curve")
     with pytest.raises(ValueError):
-        kernel_integral(sc.z1, sc.outer, diagonal="sideways")
+        kernel_integral(sc.z1, (sc.z1, sc.dz1), diagonal="sideways")
     with pytest.raises(ValueError, match="one-dimensional"):
-        kernel_integral(sc.z1[None, :], sc.outer, diagonal="on_curve")
+        kernel_integral(sc.z1[None, :], (sc.z1, sc.dz1), diagonal="on_curve")
 
 
 def test_off_curve_rejects_near_collisions():
     sc = deformed_contour(96)
     with pytest.raises(ValueError):
-        kernel_integral(sc.z1[:3], sc.outer, diagonal="off_curve")
+        kernel_integral(sc.z1[:3], (sc.z1, sc.dz1), diagonal="off_curve")
     grazing = np.array([sc.z1[5] + 1e-11])
     with pytest.raises(ValueError, match="target within 1.000e-11"):
-        kernel_integral(grazing, sc.outer, diagonal="off_curve")
+        kernel_integral(grazing, (sc.z1, sc.dz1), diagonal="off_curve")
     fine = np.array([sc.z1[5] + 1e-9])
-    kernel_integral(fine, sc.outer, diagonal="off_curve")  # must not raise
+    kernel_integral(fine, (sc.z1, sc.dz1), diagonal="off_curve")  # must not raise
 
 
 def test_normal_approach_recovers_on_curve_value():
@@ -147,7 +146,7 @@ def test_normal_approach_recovers_on_curve_value():
         values = np.array(
             [
                 kernel_integral(
-                    np.array([sc.z1[i] + sign * d * normal]), sc.outer, "off_curve"
+                    np.array([sc.z1[i] + sign * d * normal]), (sc.z1, sc.dz1), "off_curve"
                 )[0]
                 for d in deltas
             ]

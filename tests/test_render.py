@@ -33,8 +33,13 @@ def test_empty_input_rejected():
 
 
 def test_too_few_samples_rejected():
-    with pytest.raises(ValueError):
-        render_svg([make_state(0.15)], samples=15)
+    """Too few points, a bool and a non-integral count are refused; a
+    numpy integer is a count like an int."""
+    for samples in (15, True, 100.5, 64.0, "64"):
+        with pytest.raises(ValueError):
+            render_svg([make_state(0.15)], samples=samples)
+    state = make_state(0.15)
+    assert render_svg([state], samples=np.int64(64)) == render_svg([state], samples=64)
 
 
 def test_single_state_document():

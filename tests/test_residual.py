@@ -135,9 +135,9 @@ def test_sector_sample_is_the_leading_rows_of_sample(rng):
                 coeffs = random_coeffs(rng, fold=fold, modes=modes, scale=0.05)
                 full = sample(coeffs, fold * count)
                 part = vstates.residual._sample(coeffs, fold * count)
-                for boundary, trace in zip(part, (full.outer, full.inner)):
+                for boundary, (z, dz) in zip(part, ((full.z1, full.dz1), (full.z2, full.dz2))):
                     assert boundary.fold == coeffs.fold
-                    whole = vstates.kernels._nodes(trace.z[:count], trace.dz[:count], fold)
+                    whole = vstates.kernels._nodes(z[:count], dz[:count], fold)
                     for name in ("z", "dz", "conj", "power", "zm", "weights"):
                         values = getattr(boundary, name)
                         assert len(values) == count
@@ -165,7 +165,8 @@ def test_residual_layers_follow_the_shape_they_are_given(rng, monkeypatch):
     def fresh_sample(coeffs, nodes):
         sc = vstates.contour._evaluate(coeffs, nodes, 1)
         return tuple(
-            vstates.kernels._nodes(t.z, t.dz, coeffs.fold) for t in (sc.outer, sc.inner)
+            vstates.kernels._nodes(z, dz, coeffs.fold)
+            for z, dz in ((sc.z1, sc.dz1), (sc.z2, sc.dz2))
         )
 
     monkeypatch.setattr(vstates.residual, "_sample", fresh_sample)
