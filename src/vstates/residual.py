@@ -30,8 +30,10 @@ sector's N/m sources only, so each of its four kernel tables is
 (N/(2m) + 1) x (N/m); `kernels` builds each table in row blocks of at
 most 1 MiB, one block up to N/m = 256.  `jacobian` stacks the targets
 of both boundaries and forms one F table of (N/m) x 2(N/(2m) + 1) per
-source boundary, whole: its tables and work arrays come to about 1.1 MB
-at N/m = 128, and the benchmark's solves run at N/m <= 128.  The
+source boundary, whole.  Each `jacobian` call allocates its own work
+arrays, about 1.1 MB at N/m = 128 (the benchmark's solves run at
+N/m <= 128), and the real parts of G and H reuse the memory of the
+first of them rather than a further table of the same size.  The
 residual is affine in omega, and `omega_column`, its omega derivative,
 needs the half-sector shape and no kernel sum.
 
@@ -45,7 +47,6 @@ the targets too, so the calls of one Newton iterate share them.
 from __future__ import annotations
 
 import functools
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,28 +191,6 @@ def omega_column(coeffs: VortexContourCoeffs, nodes: int) -> FloatArray:
     ])
 
 
-# `jacobian`'s work arrays, per thread, for the N/m it last ran at
-_workspaces = threading.local()
-
-
-def _workspace(count: int) -> tuple[np.ndarray, ...]:
-    """`jacobian`'s complex work arrays at N/m = count, with T = N/(2m) + 1:
-    left (3, N/m, 2), right (3, 4, 2T), the F table (N/m, 2T) and work
-    (3, N/m, 2T).  The node factors come from the sector sample.
-
-    Each call writes every entry before reading it.  Keeping one set per
-    thread saves allocating and faulting in 0.8 MB per Jacobian at
-    N/m = 128.
-    """
-    arrays = getattr(_workspaces, "arrays", None)
-    if arrays is None or arrays[2].shape[0] != count:
-        targets = 2 * (count // 2 + 1)
-        shapes = ((3, count, 2), (3, 4, targets), (count, targets), (3, count, targets))
-        arrays = tuple(np.empty(shape, dtype=np.complex128) for shape in shapes)
-        _workspaces.arrays = arrays
-    return arrays
-
-
 def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArray:
     """Exact derivative of ``assemble(coeffs, omega, nodes).as_vector()``.
 
@@ -287,10 +266,14 @@ def jacobian(coeffs: VortexContourCoeffs, omega: float, nodes: int) -> FloatArra
     weight = target_dz / (1j * nodes)
     ratio = target_dz / target
     turn = (fold - 1) * target_conj / target
+    # Work arrays, each entry written before it is read
+    left = np.empty((3, count, 2), dtype=np.complex128)
+    right = np.empty((3, 4, 2 * half), dtype=np.complex128)
+    table = np.empty((count, 2 * half), dtype=np.complex128)
+    work = np.empty((3, count, 2 * half), dtype=np.complex128)
     # The target factors (tp, tc), (tp, tc tm) and (tp, tc) times the
     # weight, and each times i: the complex sum a p + b q is the real
     # product of (Re a, Im a, Re b, Im b) with (p, i p, q, i q).
-    left, right, table, work = _workspace(count)
     right[:, 0] = target_pow * weight
     right[[0, 2], 2] = target_conj * weight
     right[1, 2] = target_m * right[0, 2]

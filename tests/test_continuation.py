@@ -1,6 +1,7 @@
 """Branch tracing in omega: grids, warm starts, termination, rescue."""
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from vstates import (
     critical_radius,
     default_modes,
     eigenvalues_for_fold,
+    load_state,
     minimum_distance,
     newton_solve,
     perturbed_annulus,
@@ -334,6 +336,24 @@ def test_sweep_toward_omega_plus_from_below_reaches_its_end():
     assert len(branch.records) == 2
     for record in branch.records:
         assert record.report.converged and not record.report.trivial
+
+
+BRANCH_END_SEED = Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
+
+
+def test_sweep_into_the_branch_end_keeps_its_states():
+    """The benchmark's branch-end sweep (b = 0.6, m = 4, N = 512, M = 63,
+    from its state at 0.1765) keeps the states at 0.1760 and 0.1755 and
+    stops at 0.1750.  Its first warm solve starts from a fresh Jacobian
+    whose step raises the residual before the solve converges, so a rule
+    that gives up on such a rise loses the 0.1755 state."""
+    seed = load_state(BRANCH_END_SEED).coefficients()
+    config = SolverConfig(modes=63, nodes=512)
+    branch = sweep(0.6, 4, 0.1760, 0.1600, -5e-4, config, seed_ladder=[seed])
+    assert [record.omega for record in branch.records] == pytest.approx(
+        [0.1760, 0.1755], abs=1e-12
+    )
+    assert branch.terminated_at == pytest.approx(0.1750, abs=1e-12)
 
 
 def test_sweep_starting_on_an_eigenvalue(monkeypatch):
