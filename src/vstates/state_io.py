@@ -2,6 +2,8 @@
 
 Floats are serialized with 17 significant digits, which round-trips
 every double bit-exactly, so parse(serialize(x)) == x field for field.
+Both formats are read by one parser, `_parse`: the StateFile's JSON
+values are first turned into the text a BranchFile holds.
 Both writers accept ``timestamp=False`` to suppress the one
 non-deterministic header line; everything else is byte-stable across
 identical runs.
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,75 +78,46 @@ def _text(value, kind: type) -> str:
     return str(value)
 
 
-def _is_number(value) -> bool:
-    """A JSON number that is a finite double: not null, a string, a
-    boolean, NaN, an infinity or an integer beyond the double range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _typed(raw: dict, key: str, kind: type, path: str | Path):
-    """raw[key] as a finite float, an int or a bool; ValueError naming
-    the file and the field when it is anything else."""
-    value = raw[key]
-    if kind is bool:
-        valid = isinstance(value, bool)
-    elif kind is int:
-        valid = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        valid = _is_number(value)
-    if not valid:
-        raise ValueError(f"{path}: field {key!r} is not a valid {kind.__name__}: {value!r}")
-    return kind(value)
-
-
-def _coefficients(raw: dict, key: str, modes: int, path: str | Path) -> FloatArray:
-    values = raw[key]
-    if not isinstance(values, list) or len(values) != modes:
-        raise ValueError(f"{path}: field {key!r} is not a list of {modes} coefficients")
-    if not all(_is_number(value) for value in values):
-        raise ValueError(f"{path}: field {key!r} holds an entry that is not a finite number")
-    return np.array(values, dtype=np.float64)
+_INT = re.compile(r"-?(0|[1-9][0-9]*)")
+_FLOAT = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
 
 
 def _parse(text: str, kind: type, where: str, path: str | Path):
-    """text as a finite float, an int, true or false, or a string;
-    ValueError naming the file and `where` (the field, or the row and
-    column) when it is anything else."""
+    """text as a finite float or an int in JSON's number grammar, true or
+    false, or a string; ValueError naming the file and `where` (the
+    field, or the row and column) when it is anything else."""
     if kind is str:
         return text
     if kind is bool:
         if text not in ("true", "false"):
             raise ValueError(f"{path}: {where} is not true or false: {text!r}")
         return text == "true"
-    try:
-        value = kind(text)
-        valid = kind is int or math.isfinite(value)
-    except ValueError:
-        valid = False
-    if not valid:
+    value = None
+    if isinstance(text, str) and (_INT if kind is int else _FLOAT).fullmatch(text):
+        try:
+            value = kind(text)
+        except ValueError:  # an int of more digits than Python converts
+            pass
+    if value is None or not (kind is int or math.isfinite(value)):
         raise ValueError(f"{path}: {where} is not a valid {kind.__name__}: {text!r}")
     return value
 
 
-def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
-    """The fields of `table`, typed by read(key, kind), after the steps
-    both loaders share; ValueError names the file and the first fault:
-    a schema_version that is not the int SCHEMA_VERSION (true and 1.0
-    are not), a missing field, or a ranged field (read first) out of
-    range: b outside (0, 1), m, modes or nodes below 1, or nodes that
-    break the alias-free rule of `contour._grid_fault`."""
+def _read_table(path: str | Path, version, found: dict, table) -> dict:
+    """The fields of `table`, each parsed from its text in `found` (a
+    list of texts for coefficients), after the steps both loaders share;
+    ValueError names the file and the first fault: a schema_version that
+    is not the int SCHEMA_VERSION (true and 1.0 are not), a missing
+    field, or a ranged field (read first) out of range: b outside (0, 1),
+    m, modes or nodes below 1, or nodes that break the alias-free rule of
+    `contour._grid_fault`."""
     if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema_version {version!r}")
     for key, _ in table:
         if key not in found:
             raise ValueError(f"{path}: missing field {key!r}")
     kinds = dict(table)
-    fields = {key: read(key, kinds[key]) for key in _RANGED_FIELDS}
+    fields = {key: _parse(found[key], kinds[key], f"field {key!r}", path) for key in _RANGED_FIELDS}
     if not 0.0 < fields["b"] < 1.0:
         raise ValueError(f"{path}: field 'b' must lie in (0, 1), got {fields['b']!r}")
     for key in _RANGED_FIELDS[1:]:
@@ -151,8 +125,27 @@ def _read_table(path: str | Path, version, found: dict, table, read) -> dict:
             raise ValueError(f"{path}: field {key!r} must be at least 1, got {fields[key]}")
     if fault := _grid_fault(fields["nodes"], fields["m"], fields["modes"]):
         raise ValueError(f"{path}: field 'nodes': {fault}")
-    fields.update((key, read(key, kind)) for key, kind in table if key not in fields)
+    for key, kind in table:
+        text, where = found[key], f"field {key!r}"
+        if kind is list:  # after the ranged fields, so modes is valid
+            if not isinstance(text, list) or len(text) != fields["modes"]:
+                raise ValueError(f"{path}: {where} is not a list of {fields['modes']} coefficients")
+            fields[key] = np.array([_parse(entry, float, where, path) for entry in text])
+        elif key not in fields:
+            fields[key] = _parse(text, kind, where, path)
     return dict(fields, schema_version=version)
+
+
+def _json_text(value):
+    """A JSON value as the text `_parse` reads: an int or a float as its
+    repr, which reads back as the same double; a list entry by entry;
+    anything else as its JSON text, so a bool reads true or false, and
+    null, a string or an object reads as text that no kind accepts."""
+    if type(value) in (int, float):
+        return repr(value)
+    if isinstance(value, list):
+        return [_json_text(entry) for entry in value]
+    return json.dumps(value)
 
 
 def _unique(pairs: list) -> dict:
@@ -235,13 +228,8 @@ def load_state(path: str | Path) -> StateFile:
         raise ValueError(f"{path}: not a JSON document: {exc}") from None
     if not isinstance(raw, dict) or raw.get("format") != STATE_FORMAT:
         raise ValueError(f"{path}: not a {STATE_FORMAT} document")
-
-    def read(key: str, kind: type):
-        if kind is list:  # after the ranged fields, so modes is valid
-            return _coefficients(raw, key, raw["modes"], path)
-        return _typed(raw, key, kind, path)
-
-    fields = _read_table(path, raw.get("schema_version"), raw, _STATE_FIELDS, read)
+    found = {key: _json_text(value) for key, value in raw.items()}
+    fields = _read_table(path, raw.get("schema_version"), found, _STATE_FIELDS)
     return StateFile(**fields)
 
 
@@ -365,11 +353,7 @@ def load_branch(path: str | Path) -> BranchFile:
     if header.get("format") != BRANCH_FORMAT:
         raise ValueError(f"{path}: not a {BRANCH_FORMAT} document")
     version = _parse(header.get("schema_version", "-1"), int, "field 'schema_version'", path)
-
-    def read(key: str, kind: type):
-        return _parse(header[key], kind, f"field {key!r}", path)
-
-    fields = _read_table(path, version, header, _BRANCH_FIELDS, read)
+    fields = _read_table(path, version, header, _BRANCH_FIELDS)
     omega_step = fields["omega_step"]
     if omega_step == 0.0:
         raise ValueError(f"{path}: field 'omega_step' must be nonzero")

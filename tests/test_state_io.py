@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -197,12 +198,18 @@ def test_state_file_validation(tmp_path, reference_state):
         ("modes", 0),
         ("nodes", 0),
         pytest.param("omega", 10**400, id="omega-int-beyond-double"),
+        ("b", [0.63]),
+        ("a1", 0.5),
+        ("converged", "true"),
+        ("modes", "31"),
+        ("iterations", {"n": 6}),
     ],
 )
 def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, value):
-    """A present but null, non-numeric or non-finite field, or an integer
-    too large for a double, is named in a ValueError; "entry" puts the
-    value into one coefficient."""
+    """A present but null, non-numeric or non-finite field, an integer
+    too large for a double, or a value of another JSON type (a list for
+    a number, a number for a list, a string or an object) is named in a
+    ValueError; "entry" puts the value into one coefficient."""
     state = StateFile.from_report(reference_state, REFERENCE_OMEGA, 256)
     path = tmp_path / "state.json"
     save_state(path, state, timestamp=False)
@@ -220,6 +227,19 @@ def test_state_file_rejects_invalid_values(tmp_path, reference_state, field, val
             path.write_text(json.dumps(doc))
             with pytest.raises(ValueError, match=f"field '{field}'"):
                 load_state(path)
+
+
+def test_golden_files_read_back_to_their_own_bytes(tmp_path):
+    """Every committed StateFile and BranchFile loads and, saved without
+    a timestamp, gives the bytes it was read from."""
+    golden = Path(__file__).resolve().parent / "golden"
+    files = sorted(golden.glob("*.json")) + sorted(golden.glob("*.csv"))
+    assert {path.suffix for path in files} == {".json", ".csv"}
+    for path in files:
+        load, save = (load_state, save_state) if path.suffix == ".json" else (load_branch, save_branch)
+        copy = tmp_path / path.name
+        save(copy, load(path), timestamp=False)
+        assert copy.read_bytes() == path.read_bytes(), path.name
 
 
 def test_nonfinite_values_refused(tmp_path, reference_state):
@@ -301,12 +321,13 @@ def test_branch_rejects_malformed_rows(tmp_path):
     def document(
         b="0.6", m="4", omega_step="-0.0005", row="0.19,0.3,7,0.05,-0.04,true",
         origin="omega_plus", schema_version="1", format_="vstate-branch",
+        modes="31", nodes="512",
     ):
         return (
             f"# format: {format_}\n# schema_version: {schema_version}\n"
             f"# b: {b}\n# m: {m}\n"
-            f"# origin: {origin}\n# omega_step: {omega_step}\n# modes: 31\n"
-            f"# nodes: 512\nomega,distance,iterations,a1_1,a2_1,converged\n{row}\n"
+            f"# origin: {origin}\n# omega_step: {omega_step}\n# modes: {modes}\n"
+            f"# nodes: {nodes}\nomega,distance,iterations,a1_1,a2_1,converged\n{row}\n"
         )
 
     path.write_text(document())
@@ -334,6 +355,18 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(schema_version="x"), "field 'schema_version'"),
         (dict(origin="banana"), "field 'origin'"),
         (dict(omega_step="0"), "field 'omega_step'"),
+        # numbers follow JSON's number grammar, narrower than int() and float()
+        (dict(nodes="5_12"), "field 'nodes'"),
+        (dict(nodes="\u0665\u0661\u0662"), "field 'nodes'"),  # Arabic-Indic 512
+        (dict(modes="0_7"), "field 'modes'"),
+        (dict(modes="+007"), "field 'modes'"),
+        (dict(b="\u0660.6"), "field 'b'"),  # Arabic-Indic zero
+        (dict(omega_step="-5_0e-4"), "field 'omega_step'"),
+        (dict(row="0.19,0.3,5_12,0.05,-0.04,true"), "column 'iterations'"),
+        (dict(row="0.19,0.3,\u0665\u0661\u0662,0.05,-0.04,true"), "column 'iterations'"),
+        (dict(row="0.19,0.3,0_7,0.05,-0.04,true"), "column 'iterations'"),
+        (dict(row="0.19,0.3,+007,0.05,-0.04,true"), "column 'iterations'"),
+        (dict(row="0.19, 0.3 ,7,0.05,-0.04,true"), "column 'distance'"),
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
