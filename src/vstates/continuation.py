@@ -20,10 +20,11 @@ reaches the grid point; there only the sign of the seed matters.
 
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
-contour counts as such a failure.  A failed attempt drops the carried
-inverse, so the next one forms a fresh Jacobian.  A failed grid point
-is retried through a midpoint bridge solve, and, while the branch is
-still within ANNULUS_REACH of the annulus, from the cold seed.
+contour counts as such a failure.  `newton_solve` hands the carried
+inverse on only with a usable state, so the attempt after a failed one
+forms a fresh Jacobian.  A failed grid point is retried through a
+midpoint bridge solve, and, while the branch is still within
+ANNULUS_REACH of the annulus, from the cold seeds.
 The bridge seeds from the secant too, and the grid point after it from
 the secant through the previous state and the bridge state.  An
 unrecoverable grid point is recorded in ``terminated_at`` and the sweep
@@ -226,20 +227,12 @@ def _attempt(
     config: SolverConfig,
     chord: ChordFactors | None = None,
 ) -> SolveReport | None:
-    """One guarded solve; None for any outcome that is not a usable state.
-
-    A failed attempt drops the chord inverse, so the next one starts
-    from a fresh Jacobian.
-    """
+    """One guarded solve; None for any outcome that is not a usable state."""
     try:
         report = newton_solve(b, omega, m, seed, config, chord)
     except (GeometryBreakdown, SingularJacobian, InvalidContour):
-        report = None
-    if report is None or not report.converged or report.trivial:
-        if chord is not None:
-            chord.inverse = None
         return None
-    return report
+    return report if report.converged and not report.trivial else None
 
 
 def _record(omega: float, report: SolveReport, config: SolverConfig) -> BranchRecord:
@@ -270,9 +263,9 @@ def sweep(
         Passed through to every solve; solves from a warm seed stop
         after at most WARM_MAX_ITER steps.
     seed_ladder : sequence of VortexContourCoeffs, optional
-        Cold-start seeds for the first point, tried in order; defaults
-        to one first-mode seed of COLD_SEED_AMPLITUDE for the sweep
-        direction.
+        Cold-start seeds for the first point and the rescue near the
+        annulus, tried in order with full Newton; defaults to one
+        first-mode seed of COLD_SEED_AMPLITUDE for the sweep direction.
 
     Raises
     ------
@@ -287,34 +280,25 @@ def sweep(
     if seed_ladder is None:
         seed_ladder = [_cold_seed(b, m, config.modes, omega_step < 0.0)]
 
-    first = None
-    for seed in seed_ladder:
-        first = _attempt(b, m, grid[0], seed, config)
-        if first is not None:
-            break
-    if first is None:
-        raise EmptyBranch(
-            f"no cold seed converged to a nontrivial state at "
-            f"omega = {grid[0]} (b = {b}, m = {m})"
-        )
-
-    records = [_record(grid[0], first, config)]
+    records: list[BranchRecord] = []
     terminated_at = None
     warm = replace(config, max_iter=min(config.max_iter, WARM_MAX_ITER))
     chord = ChordFactors()
-    for omega in grid[1:]:
-        previous = records[-1]
-        known = [(record.omega, record.report.coeffs) for record in records[-2:]]
-        report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
-        if report is None:
-            # Bridge through the midpoint once before terminating.
-            midpoint = 0.5 * (previous.omega + omega)
-            bridge = _attempt(b, m, midpoint, _secant(known, midpoint), warm, chord)
-            if bridge is not None:
-                known = [known[-1], (midpoint, bridge.coeffs)]
-                report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
-        if report is None and _near_annulus(previous.report.coeffs):
-            # Warm seed collapsed onto the annulus; a cold start
+    for omega in grid:
+        report = None
+        if records:
+            known = [(record.omega, record.report.coeffs) for record in records[-2:]]
+            report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
+            if report is None:
+                # Bridge through the midpoint once before terminating.
+                midpoint = 0.5 * (records[-1].omega + omega)
+                bridge = _attempt(b, m, midpoint, _secant(known, midpoint), warm, chord)
+                if bridge is not None:
+                    known = [known[-1], (midpoint, bridge.coeffs)]
+                    report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
+        if report is None and (not records or _near_annulus(records[-1].report.coeffs)):
+            # The first grid point starts cold, and so does a grid point
+            # whose warm seed collapsed onto the annulus: a cold start
             # still works near the bifurcation points.  On a developed
             # branch a failed solve means the branch is ending, and
             # re-seeding from the annulus would risk hopping onto a
@@ -328,6 +312,11 @@ def sweep(
             terminated_at = float(omega)
             break
         records.append(_record(omega, report, config))
+    if not records:
+        raise EmptyBranch(
+            f"no cold seed converged to a nontrivial state at "
+            f"omega = {grid[0]} (b = {b}, m = {m})"
+        )
     return Branch(b=b, m=m, records=records, origin=origin, terminated_at=terminated_at)
 
 

@@ -32,8 +32,9 @@ smallest singular value of J is 6e-5, and a chord state was 3.7e-10
 from the solution where Newton's was 3.6e-11.  A converged chord solve
 therefore takes one more step with its inverse and keeps it when it
 lowers the residual, on the first grid even without a step, on N only
-after a step there.  A solve given no ChordFactors forms a fresh
-Jacobian at every step.
+after a step there.  A solve takes chord.inverse, leaving None, and
+writes its own back only with a converged nontrivial state.  A solve
+given no ChordFactors forms a fresh Jacobian at every step.
 
 Cold starts: a seed that is the annulus displaced in its first mode
 only (what `perturbed_annulus` builds) does not fix a starting
@@ -194,9 +195,9 @@ class ChordFactors:
     the next.
 
     inverse holds the inverse of an earlier Jacobian that the next step
-    may reuse, or None when that step must form a fresh one.  A solve
-    given a ChordFactors reads it at the start and leaves its own
-    reusable inverse in it.
+    may reuse, or None when that step must form a fresh one.  Only
+    `newton_solve` writes it: a solve takes it and leaves None, and puts
+    its own reusable inverse back only with a converged nontrivial state.
     """
 
     inverse: np.ndarray | None = None
@@ -349,9 +350,9 @@ def newton_solve(
         Discretization and iteration parameters.
     chord : ChordFactors, optional
         Chord Newton (module docstring): start from chord.inverse when
-        it holds an inverse and leave the reusable inverse there when
-        the solve converges.  Without it every step forms a fresh
-        Jacobian.
+        it holds one, and leave there the reusable inverse of a converged
+        nontrivial state, None after any other outcome or a raise other
+        than ValueError.  Without it every step forms a fresh Jacobian.
 
     Returns
     -------
@@ -390,11 +391,13 @@ def newton_solve(
     grids = [config.nodes]
     if config.nodes >= 2 * alias_free:
         grids.insert(0, alias_free)
+    inverse = None
+    if chord is not None:
+        inverse, chord.inverse = chord.inverse, None
     current = _cold_start(seed, omega, replace(config, nodes=grids[0]))
     history: list[float] = []
     iterations = 0
     polished_at = None  # iterations after the last polish tried
-    inverse = None if chord is None else chord.inverse
     while grids:
         nodes = grids[0]
         # Past the seed's own assembly (the check on N, the re-verification
@@ -450,7 +453,7 @@ def newton_solve(
             # Another pass on this grid re-verifies the normalized
             # representative; the inverse belongs to the other one.
             current, inverse = normalized, None
-    if chord is not None and converged:
+    if chord is not None and converged and not trivial:
         chord.inverse = inverse
     return SolveReport(
         coeffs=current,

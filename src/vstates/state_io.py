@@ -303,7 +303,8 @@ def save_branch(path: str | Path, bf: BranchFile, timestamp: bool = True) -> Non
 
 def load_branch(path: str | Path) -> BranchFile:
     """Read a BranchFile that `sweep` could have produced: each header
-    field stated once, before the column row; the origin matches the
+    line exactly `# key: value`, each field stated once, before the
+    column row, which is matched as written; the origin matches the
     sign of omega_step, every row (the terminated marker included) moves
     omega strictly in that direction, and nothing follows the marker.
     ValueError names the file and field or row."""
@@ -323,13 +324,16 @@ def load_branch(path: str | Path) -> BranchFile:
         if line.startswith("#"):
             if saw_columns:
                 raise ValueError(f"{path}: header line {line!r} follows the column row")
-            key, _, value = (part.strip() for part in line[1:].partition(":"))
+            entry = re.fullmatch(r"# ([^\s:]+): (.*)", line)
+            if entry is None:
+                raise ValueError(f"{path}: header line {line!r} is not '# key: value'")
+            key, value = entry.groups()
             if key in header:
                 raise ValueError(f"{path}: field {key!r} is stated twice")
             header[key] = value
             continue
         if not saw_columns:
-            if line.strip() != columns:
+            if line != columns:
                 raise ValueError(f"{path}: unexpected column row {line!r}")
             saw_columns = True
             continue

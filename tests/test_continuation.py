@@ -224,6 +224,40 @@ def test_invalid_predicted_seed_is_a_failed_attempt(monkeypatch):
         assert np.abs(difference).max() <= 1e-10
 
 
+def test_seed_ladder_is_tried_in_order(monkeypatch):
+    """The cold seeds are tried in order, each with full Newton, until one
+    gives a usable state: an annulus seed ahead of a good one costs one
+    more solve and changes no bit of the first record, and a seed after
+    the good one is never tried."""
+    calls = []
+    solve = continuation.newton_solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(continuation, "newton_solve", counted)
+    annulus = perturbed_annulus(0.63, 4, 31)
+    good = continuation._cold_seed(0.63, 4, 31, descending=False)
+    branches = {}
+    for name, ladder, solves in (
+        ("good", [good], 1),
+        ("annulus first", [annulus, good], 2),
+        ("good first", [good, annulus], 1),
+    ):
+        calls.clear()
+        branches[name] = sweep(0.63, 4, 0.1350, 0.1350, 5e-4, CONFIG, seed_ladder=ladder)
+        assert len(calls) == solves and all(call[3] is seed for call, seed in zip(calls, ladder))
+        assert all(call[5] is None for call in calls)
+    expected = branches["good"].records[0]
+    for name in ("annulus first", "good first"):
+        record = branches[name].records[0]
+        assert record.omega == expected.omega and record.distance == expected.distance
+        assert np.array_equal(record.report.coeffs.as_vector(), expected.report.coeffs.as_vector())
+        assert record.report.residual_history == expected.report.residual_history
+        assert record.report.iterations == expected.report.iterations
+
+
 def test_single_point_sweep():
     branch = sweep(0.63, 4, 0.1520, 0.1520, 5e-4, CONFIG)
     assert len(branch.records) == 1

@@ -401,21 +401,67 @@ def test_seed_that_is_not_a_contour_raises_invalid_contour(nodes):
         newton_solve(0.5, 0.3, 4, seed, SolverConfig(modes=31, nodes=nodes))
 
 
+def _failing_on_n(coeffs, omega, nodes):
+    """`assemble` that refuses every contour on the 512-node grid."""
+    if nodes == 512:
+        raise InvalidContour("not a contour on N")
+    return assemble(coeffs, omega, nodes)
+
+
 def test_state_that_is_not_a_contour_on_n_is_a_breakdown(monkeypatch):
     """An invalid contour at the check on N is a GeometryBreakdown at the
     steps taken on N0."""
 
-    def failing_on_n(coeffs, omega, nodes):
-        if nodes == 512:
-            raise InvalidContour("not a contour on N")
-        return assemble(coeffs, omega, nodes)
-
-    monkeypatch.setattr("vstates.solver.assemble", failing_on_n)
+    monkeypatch.setattr("vstates.solver.assemble", _failing_on_n)
     seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
     with pytest.raises(GeometryBreakdown) as excinfo:
         newton_solve(0.63, 0.152, 4, seed, SolverConfig(modes=31, nodes=512))
     assert excinfo.value.iteration == 6
     assert isinstance(excinfo.value.__cause__, InvalidContour)
+
+
+def test_chord_inverse_survives_only_a_usable_solve(monkeypatch, reference_state):
+    """A solve handed a ChordFactors that holds an inverse leaves None in it
+    after a breakdown, a stall or a collapse to the annulus, and its own
+    2M x 2M inverse after a converged nontrivial state."""
+
+    def carried():
+        inverse = np.linalg.inv(jacobian(reference_state.coeffs, REFERENCE_OMEGA, 256))
+        return ChordFactors(inverse)
+
+    seed = perturbed_annulus(REFERENCE_B, REFERENCE_M, 31, a1_1=0.06)
+    chord = carried()
+    with monkeypatch.context() as patch:
+        patch.setattr("vstates.solver.assemble", _failing_on_n)
+        with pytest.raises(GeometryBreakdown):
+            newton_solve(
+                REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, seed,
+                SolverConfig(modes=31, nodes=512), chord,
+            )
+    assert chord.inverse is None
+
+    chord = carried()
+    stalled = replace(REFERENCE_CONFIG, max_iter=1)
+    report = newton_solve(REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, seed, stalled, chord)
+    assert not report.converged
+    assert chord.inverse is None
+
+    chord = carried()
+    annulus = perturbed_annulus(REFERENCE_B, REFERENCE_M, 31)
+    report = newton_solve(
+        REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, annulus, REFERENCE_CONFIG, chord
+    )
+    assert report.converged and report.trivial
+    assert chord.inverse is None
+
+    chord = carried()
+    report = newton_solve(
+        REFERENCE_B, REFERENCE_OMEGA + 1e-3, REFERENCE_M, reference_state.coeffs,
+        REFERENCE_CONFIG, chord,
+    )
+    assert report.converged and not report.trivial
+    assert chord.inverse.shape == (62, 62)
+    assert np.isfinite(chord.inverse).all()
 
 
 def test_singular_jacobian_guard():

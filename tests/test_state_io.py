@@ -367,6 +367,10 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(row="0.19,0.3,0_7,0.05,-0.04,true"), "column 'iterations'"),
         (dict(row="0.19,0.3,+007,0.05,-0.04,true"), "column 'iterations'"),
         (dict(row="0.19, 0.3 ,7,0.05,-0.04,true"), "column 'distance'"),
+        # a header value is read as written, after one space past the colon
+        (dict(b=" 0.6"), "field 'b'"),
+        (dict(nodes="512\t"), "field 'nodes'"),
+        (dict(origin="omega_plus "), "field 'origin'"),
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
@@ -378,6 +382,14 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (document() + "# b: 0.7\n# m: 8\n", "header line '# b: 0.7' follows the column row"),
         (document().replace("# m: 4\n", "# m: 4\n# m: 8\n"), "field 'm' is stated twice"),
         (document(row="").replace(columns, ""), "missing the column row"),
+        # a header line is exactly '# key: value' and the column row is as written
+        (document().replace("# m: 4\n", "#m: 4\n"), "header line '#m: 4' is not '# key: value'"),
+        (document().replace("# m: 4\n", "# m:4\n"), "header line '# m:4' is not '# key: value'"),
+        (
+            document().replace("# m: 4\n", "# m : 4\n"),
+            "header line '# m : 4' is not '# key: value'",
+        ),
+        (document().replace(columns, " " + columns[:-1] + " \n"), "unexpected column row"),
     ):
         path.write_text(text)
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {where}"):
