@@ -24,7 +24,6 @@ from .contour import (
 )
 from .dispersion import (
     DispersionPoint,
-    Infeasible,
     critical_radius,
     delta,
     double_eigenvalue_locus,
@@ -63,7 +62,6 @@ __all__ = [
     "DispersionPoint",
     "EmptyBranch",
     "GeometryBreakdown",
-    "Infeasible",
     "InvalidContour",
     "SampledContour",
     "SingularJacobian",

@@ -61,8 +61,8 @@ def _cmd_dispersion(args) -> int:
     print(f"feasibility f_m(b) = {f:.17g}")
     if args.m >= 3:
         print(f"critical radius b_m = {critical_radius(args.m):.17g}")
-    point = eigenvalues_for_fold(args.m, args.b) if args.m >= 3 else None
-    if point is None or not point.feasible:
+    point = eigenvalues_for_fold(args.m, args.b)
+    if point is None:
         print("no eigenvalue pair: the fold does not bifurcate at this radius")
         return EXIT_INFEASIBLE
     print(f"omega_minus = {point.omega_minus:.17g}  (lambda_plus = {point.lambda_plus:.17g})")

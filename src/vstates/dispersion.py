@@ -20,20 +20,18 @@ For each fold ``m >= 3`` there is a critical inner radius ``b_m``
 (`critical_radius`) below which delta_{m-1} has two distinct real roots
 in lambda, hence two bifurcation angular velocities
 (`eigenvalues_for_fold`).  At ``b = b_m`` the pair collides and the
-branch point degenerates.
+branch point degenerates; folds 1 and 2 have no pair at any b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
 __all__ = [
     "DispersionPoint",
-    "Infeasible",
     "FrequencyMatrix",
     "delta",
     "feasibility",
@@ -124,7 +122,9 @@ class DispersionPoint:
     """Eigenvalue pair of the fold-m dispersion relation at one (m, b).
 
     lambda_minus pairs with omega_plus and lambda_plus with omega_minus
-    through lam = 1 - 2 omega.
+    through lam = 1 - 2 omega.  A point exists only where f_m(b) < 0,
+    where both eigenvalues are simple and cross transversally, so
+    `feasible` and `transversal` hold for every point.
     """
 
     fold: int
@@ -133,30 +133,12 @@ class DispersionPoint:
     lambda_plus: float
     omega_minus: float
     omega_plus: float
-    transversal: bool
 
-    @property
-    def feasible(self) -> bool:
-        return True
+    feasible = True
+    transversal = True
 
 
-@dataclass(frozen=True)
-class Infeasible:
-    """Marker for (m, b) past the critical radius: no real eigenvalue pair.
-
-    Carries the offending feasibility value f_m(b) >= 0.
-    """
-
-    fold: int
-    inner_radius: float
-    feasibility: float
-
-    @property
-    def feasible(self) -> bool:
-        return False
-
-
-def eigenvalues_for_fold(m: int, b: float) -> Union[DispersionPoint, Infeasible]:
+def eigenvalues_for_fold(m: int, b: float) -> DispersionPoint | None:
     """Both bifurcation angular velocities of fold m at inner radius b.
 
     Solves delta_{m-1}(lam, b) = 0 in closed form:
@@ -168,14 +150,12 @@ def eigenvalues_for_fold(m: int, b: float) -> Union[DispersionPoint, Infeasible]
     g = m (1 - b^2) / 2 - 1, h = b^m, to avoid the cancellation the
     squared form suffers near the critical radius.
 
-    Returns an `Infeasible` marker when f_m(b) >= 0 (that is, b >= b_m).
+    Returns None exactly when f_m(b) >= 0 (`feasibility`): for folds 1
+    and 2 at every b, and for m >= 3 at b >= b_m.
     """
-    if m < 3:
-        raise ValueError(f"fold must be >= 3, got {m}")
     _check_inner_radius(b)
-    f = feasibility(m, b)
-    if f >= 0.0:
-        return Infeasible(fold=m, inner_radius=b, feasibility=f)
+    if feasibility(m, b) >= 0.0:
+        return None
     g = 0.5 * m * (1.0 - b * b) - 1.0
     h = b**m
     # f < 0 forces g > h > 0, so both factors are positive.
@@ -190,20 +170,16 @@ def eigenvalues_for_fold(m: int, b: float) -> Union[DispersionPoint, Infeasible]
         lambda_plus=1.0 - 2.0 * omega_minus,
         omega_minus=omega_minus,
         omega_plus=omega_plus,
-        transversal=True,
     )
 
 
 def nearer_eigenvalue(m: int, b: float, omega: float) -> float | None:
     """The bifurcation angular velocity of fold m at radius b nearer omega.
 
-    omega_minus on a tie; None when there is no eigenvalue pair (m < 3,
-    or b at or above the critical radius).
+    omega_minus on a tie; None when `eigenvalues_for_fold` finds no pair.
     """
-    if m < 3:
-        return None
     point = eigenvalues_for_fold(m, b)
-    if not point.feasible:
+    if point is None:
         return None
     if abs(omega - point.omega_minus) <= abs(omega - point.omega_plus):
         return point.omega_minus

@@ -168,7 +168,7 @@ class SolverConfig:
             raise ValueError(f"max_iter must be positive, got {self.max_iter}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveReport:
     """Outcome of one Newton run.
 

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import brentq
 
 from vstates import (
-    Infeasible,
     critical_radius,
     delta,
     double_eigenvalue_locus,
@@ -118,12 +117,21 @@ def test_low_folds_never_bifurcate():
 
 def test_infeasible_radius_reported():
     b4 = critical_radius(4)
-    result = eigenvalues_for_fold(4, b4 + 0.01)
-    assert isinstance(result, Infeasible)
-    assert not result.feasible
-    assert result.feasibility > 0
+    assert eigenvalues_for_fold(4, b4 + 0.01) is None
+    assert feasibility(4, b4 + 0.01) > 0
     # the boundary case itself is infeasible too (double root, no crossing)
-    assert not eigenvalues_for_fold(3, 0.5).feasible
+    assert eigenvalues_for_fold(3, 0.5) is None
+
+
+def test_no_pair_exactly_where_feasibility_is_nonnegative():
+    """Folds 1 and 2 at every b, b_3 = 1/2 and just below it, radii at
+    and past b_4, and folds 3 to 12 on both sides of their b_m."""
+    b4 = critical_radius(4)
+    cases = [(m, b) for m in (1, 2) for b in (1e-8, 0.05, 0.3, 0.5, 0.6, 0.9, 1 - 1e-9)]
+    cases += [(3, 0.5), (3, 0.5 - 1e-9), (4, b4), (4, b4 + 0.01), (4, 0.99)]
+    cases += [(m, b) for m in range(3, 13) for b in (0.1, 0.4, 0.63, 0.85, 0.95)]
+    for m, b in cases:
+        assert (eigenvalues_for_fold(m, b) is None) == (feasibility(m, b) >= 0), (m, b)
 
 
 def test_nearer_eigenvalue():
@@ -210,8 +218,11 @@ def test_argument_validation():
         eigenvalues_for_fold(3, 1.0)
     with pytest.raises(ValueError):
         critical_radius(2)
-    with pytest.raises(ValueError):
-        eigenvalues_for_fold(2, 0.4)
+    # folds 1 and 2 are valid and have no pair; fold 0 and below are not folds
+    assert eigenvalues_for_fold(2, 0.4) is None
+    for m in (0, -1):
+        with pytest.raises(ValueError):
+            eigenvalues_for_fold(m, 0.4)
     with pytest.raises(ValueError):
         frequency_matrix(-1, 0.5, 0.5)
     with pytest.raises(ValueError):

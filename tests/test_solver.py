@@ -1,5 +1,6 @@
 """Newton iteration: convergence, failure surfaces, normalization."""
 
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from vstates import (
     perturbed_annulus,
     sweep,
 )
-from vstates.contour import InvalidContour
+from vstates.contour import InvalidContour, _grid_fault
 from vstates.residual import jacobian
 from vstates.solver import (
     MIN_PIVOT,
@@ -303,6 +304,18 @@ def test_polish_that_leaves_the_contours_keeps_the_converged_state(
     assert report.residual_max == residual.max_abs
     assert report.iterations == polished.iterations - 1
     assert report.residual_history == polished.residual_history[:-1]
+
+
+@pytest.mark.parametrize("nodes", [248, 254], ids=["below-bound", "not-multiple"])
+def test_grid_refused_before_any_assembly(monkeypatch, nodes):
+    """A grid that breaks the alias-free rule is refused before the cold
+    start's curvature solve assembles anything."""
+    calls = _record_calls(monkeypatch)
+    seed = perturbed_annulus(0.63, 4, 31, a1_1=0.06)
+    config = SolverConfig(modes=31, nodes=nodes)
+    with pytest.raises(ValueError, match=re.escape(_grid_fault(nodes, 4, 31))):
+        newton_solve(0.63, 0.152, 4, seed, config)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

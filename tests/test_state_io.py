@@ -173,6 +173,11 @@ def test_state_file_validation(tmp_path, reference_state):
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a JSON document"):
         load_state(bad)
 
+    # an int of more digits than Python converts is refused by the parser
+    bad.write_text(path.read_text().replace('"m": 4,', f'"m": {"9" * 5000},'))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: not a JSON document: Exceeds the limit"):
+        load_state(bad)
+
     bad.write_text(path.read_text().replace('"b": 0.63,', '"b": 0.63,\n  "b": 0.5,'))
     with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field 'b' is stated twice"):
         load_state(bad)
@@ -371,6 +376,9 @@ def test_branch_rejects_malformed_rows(tmp_path):
         (dict(b=" 0.6"), "field 'b'"),
         (dict(nodes="512\t"), "field 'nodes'"),
         (dict(origin="omega_plus "), "field 'origin'"),
+        # an int of more digits than Python converts
+        (dict(m="9" * 5000), "field 'm' is not a valid int"),
+        (dict(row=f"0.19,0.3,{'7' * 5000},0.05,-0.04,true"), "column 'iterations' is not a valid int"),
     ):
         path.write_text(document(**bad))
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: .*{where}"):
