@@ -20,9 +20,14 @@ reaches the grid point; there only the sign of the seed matters.
 
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
-contour counts as such a failure.  `newton_solve` hands the carried
-inverse on only with a usable state, so the attempt after a failed one
-forms a fresh Jacobian.  A failed grid point is retried through a
+contour counts as such a failure.  A warm solve gives up when its steps
+run out or, usually earlier, at the first step with a fresh Jacobian
+that does not contract the Newton correction (`solver`): on criterion
+8's descending sweep into the end of the b = 0.6, m = 4 branch, the
+direct solve at 0.1750 stops after 4 steps rather than breaking down at
+step 7, and its bridge at 0.17525 after 1.  `newton_solve` hands the
+carried inverse on only with a usable state, so the attempt after a
+failed one forms a fresh Jacobian.  A failed grid point is retried through a
 midpoint bridge solve, and, while the branch is still within
 ANNULUS_REACH of the annulus, from the cold seeds.
 The bridge seeds from the secant too, and the grid point after it from
@@ -79,7 +84,11 @@ ANNULUS_REACH = 0.06
 # the previous state took 2-9).  A solve that needs far more has
 # wandered off the branch, and where it lands (after 34-50 full Newton
 # steps near a branch end) can be a state of another family that the
-# sweep would then follow.
+# sweep would then follow.  Most failing warm solves stop earlier, at a
+# fresh step that does not contract the correction (`solver`); of the 16
+# on the acceptance sweeps, the branch probe and the benchmark's
+# branch-end sweep, every one stops at or before the step where it broke
+# down or ran out of these steps.
 WARM_MAX_ITER = 12
 
 

@@ -36,6 +36,20 @@ after a step there.  A solve takes chord.inverse, leaving None, and
 writes its own back only with a converged nontrivial state.  A solve
 given no ChordFactors forms a fresh Jacobian at every step.
 
+A warm solve, one given a ChordFactors whose seed the cold start leaves
+as it is, also stops once a step with a freshly formed inverse fails
+Deuflhard's natural monotonicity test: theta = ||J^-1 F(x+)|| /
+||J^-1 F(x)|| >= 1 (2-norms, the same inverse).  J^-1 F(x+) is the
+correction of the next chord step, so the test costs one vector norm.
+It is a test on the correction, not on the residual: at the end of the
+b = 0.6, m = 4 branch the first fresh step of the 0.1755 solve doubles
+the largest residual but has theta = 0.07, and converges.  On the four
+acceptance sweeps, the 30-sweep branch probe and the branch-end sweep
+of the benchmark, the largest theta of a converged warm solve is 0.55
+and every failing warm solve has a fresh step with theta of 1.25 to 700.
+Cold starts and full Newton are not tested: a cold solve may pass
+through theta = 17 and converge.
+
 Cold starts: a seed that is the annulus displaced in its first mode
 only (what `perturbed_annulus` builds) does not fix a starting
 amplitude.  Newton starts instead from the Crandall-Rabinowitz
@@ -57,10 +71,12 @@ region where the full step overshoots or falls back to the annulus.
 Where no branch leaves toward omega (omega on the far side of omega_0,
 omega at omega_0, or no eigenvalue pair) the seed is used as given.
 
-Failure semantics: running out of iterations is an ordinary outcome and
-comes back as a report with ``converged=False`` (continuation treats it
-as data); geometry degenerating mid-iteration or a singular linear
-system raise `GeometryBreakdown` / `SingularJacobian`.
+Failure semantics: running out of iterations, or a warm solve's step
+that does not contract, is an ordinary outcome and comes back as a
+report with ``converged=False`` (continuation treats it as data); a
+solve stopped on N0 still assembles on N for its report.  Geometry
+degenerating mid-iteration or a singular linear system raise
+`GeometryBreakdown` / `SingularJacobian`.
 """
 
 from __future__ import annotations
@@ -72,7 +88,7 @@ import numpy as np
 
 from .contour import InvalidContour, VortexContourCoeffs, _grid_fault, perturbed_annulus
 from .dispersion import kernel_vector, nearer_eigenvalue
-from .residual import DiscreteResidual, assemble, jacobian, omega_column
+from .residual import assemble, jacobian, omega_column
 
 __all__ = [
     "SolverConfig",
@@ -318,11 +334,9 @@ def _cold_start(
     return perturbed_annulus(seed.b, seed.fold, seed.modes, a1_1=a1_1, a2_1=a2_1)
 
 
-def _updated(
-    coeffs: VortexContourCoeffs, inverse: np.ndarray, residual: DiscreteResidual
-) -> VortexContourCoeffs:
-    """coeffs after the update x - J^-1 F."""
-    x = coeffs.as_vector() - inverse @ residual.as_vector()
+def _updated(coeffs: VortexContourCoeffs, correction: np.ndarray) -> VortexContourCoeffs:
+    """coeffs after the update x - J^-1 F, given the correction J^-1 F."""
+    x = coeffs.as_vector() - correction
     return VortexContourCoeffs.from_vector(x, coeffs.b, coeffs.fold, coeffs.modes)
 
 
@@ -357,8 +371,10 @@ def newton_solve(
     Returns
     -------
     SolveReport
-        converged=False when max_iter runs out; iterations counts the
-        Newton updates actually applied, on both grids.
+        converged=False when max_iter runs out or when a warm solve
+        (module docstring) stops after a fresh inverse's step that does
+        not contract the Newton correction (theta >= 1); iterations
+        counts the Newton updates actually applied, on both grids.
 
     Raises
     ------
@@ -395,8 +411,10 @@ def newton_solve(
     if chord is not None:
         inverse, chord.inverse = chord.inverse, None
     current = _cold_start(seed, omega, replace(config, nodes=grids[0]))
+    warm = chord is not None and current is seed
     history: list[float] = []
     iterations = 0
+    budget = config.max_iter
     polished_at = None  # iterations after the last polish tried
     while grids:
         nodes = grids[0]
@@ -409,12 +427,24 @@ def newton_solve(
                 raise
             raise GeometryBreakdown(iterations, str(exc)) from exc
         history.append(residual.max_abs)
-        while residual.max_abs >= config.tol and iterations < config.max_iter:
+        # Norm of the last correction of a warm solve's fresh inverse,
+        # the one its next (chord) step applies again.
+        fresh_norm = np.inf
+        while residual.max_abs >= config.tol and iterations < budget:
             fresh = inverse is None
             if fresh:
                 inverse = _inverse_checked(jacobian(current, omega, nodes))
+            correction = inverse @ residual.as_vector()
+            if warm:
+                norm = float(np.linalg.norm(correction))
+                if norm >= fresh_norm:
+                    # theta >= 1: the fresh inverse's step did not
+                    # contract the correction; stop as if out of steps.
+                    budget = iterations
+                    break
+                fresh_norm = norm if fresh else np.inf
             iterations += 1
-            current = _updated(current, inverse, residual)
+            current = _updated(current, correction)
             try:
                 residual = assemble(current, omega, nodes)
             except InvalidContour as exc:
@@ -435,7 +465,7 @@ def newton_solve(
             # tol, where a full Newton step lands far below it.  Tried
             # once per run of steps (on the first grid even with none),
             # so a state that passes on N without a step keeps N0's.
-            polished = _updated(current, inverse, residual)
+            polished = _updated(current, inverse @ residual.as_vector())
             try:
                 polished_residual = assemble(polished, omega, nodes)
             except InvalidContour:

@@ -375,19 +375,43 @@ def test_sweep_toward_omega_plus_from_below_reaches_its_end():
 BRANCH_END_SEED = Path(__file__).resolve().parents[1] / "perfbench" / "branch_end_seed.json"
 
 
-def test_sweep_into_the_branch_end_keeps_its_states():
+def test_sweep_into_the_branch_end_keeps_its_states(monkeypatch):
     """The benchmark's branch-end sweep (b = 0.6, m = 4, N = 512, M = 63,
     from its state at 0.1765) keeps the states at 0.1760 and 0.1755 and
     stops at 0.1750.  Its first warm solve starts from a fresh Jacobian
     whose step raises the residual before the solve converges, so a rule
-    that gives up on such a rise loses the 0.1755 state."""
-    seed = load_state(BRANCH_END_SEED).coefficients()
+    that gives up on such a rise loses the 0.1755 state.  The step does
+    contract the Newton correction (theta = ||J^-1 F(x+)|| / ||J^-1 F(x)||
+    is 0.07), so the stop on theta >= 1 keeps it: 0.1755 still converges
+    in 9 steps.  The direct solve at 0.1750 stops after 4 steps, not at
+    a breakdown at step 9, and the bridge at 0.17525 after 1.  Full
+    Newton from the same seed at 0.1750 is not stopped: it spends all 12
+    warm steps."""
+    calls = []
+    solve = continuation.newton_solve
+
+    def recorded(b, omega, m, seed, config, chord=None):
+        report = solve(b, omega, m, seed, config, chord)
+        calls.append((omega, seed, config, chord is not None, report))
+        return report
+
+    monkeypatch.setattr(continuation, "newton_solve", recorded)
+    start = load_state(BRANCH_END_SEED).coefficients()
     config = SolverConfig(modes=63, nodes=512)
-    branch = sweep(0.6, 4, 0.1760, 0.1600, -5e-4, config, seed_ladder=[seed])
+    branch = sweep(0.6, 4, 0.1760, 0.1600, -5e-4, config, seed_ladder=[start])
     assert [record.omega for record in branch.records] == pytest.approx(
         [0.1760, 0.1755], abs=1e-12
     )
     assert branch.terminated_at == pytest.approx(0.1750, abs=1e-12)
+    warm = [(omega, report.converged, report.iterations) for omega, _, _, chord, report in calls if chord]
+    assert warm == [
+        (pytest.approx(0.1755), True, 9),
+        (pytest.approx(0.1750), False, 4),
+        (pytest.approx(0.17525), False, 1),
+    ]
+    _, seed, warm_config, _, _ = calls[2]
+    full = newton_solve(0.6, 0.1750, 4, seed, warm_config)
+    assert not full.converged and full.iterations == warm_config.max_iter == 12
 
 
 def test_sweep_starting_on_an_eigenvalue(monkeypatch):

@@ -12,6 +12,7 @@ from vstates import (
     SingularJacobian,
     SolverConfig,
     assemble,
+    critical_radius,
     default_modes,
     eigenvalues_for_fold,
     fd_jacobian,
@@ -475,6 +476,19 @@ def test_chord_inverse_survives_only_a_usable_solve(monkeypatch, reference_state
     assert report.converged and not report.trivial
     assert chord.inverse.shape == (62, 62)
     assert np.isfinite(chord.inverse).all()
+
+
+def test_cold_start_handed_a_chord_is_not_stopped():
+    """Only a warm solve stops when a fresh inverse's step fails to
+    contract the Newton correction.  From the cold start at m = 8,
+    b = 0.3 b_8, 12e-3 above omega_minus, the second fresh step of a
+    chord solve has theta = 4.1, and the solve still converges."""
+    b = 0.3 * critical_radius(8)
+    omega = eigenvalues_for_fold(8, b).omega_minus + 12e-3
+    seed = perturbed_annulus(b, 8, 31, a2_1=-0.02)
+    report = newton_solve(b, omega, 8, seed, SolverConfig(modes=31, nodes=512), ChordFactors())
+    assert report.converged and not report.trivial
+    assert report.iterations == 14
 
 
 def test_singular_jacobian_guard():
