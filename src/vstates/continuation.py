@@ -20,25 +20,23 @@ reaches the grid point; there only the sign of the seed matters.
 
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
-contour counts as such a failure.  A warm solve gives up when its steps
-run out or, usually earlier, at the first step with a fresh Jacobian
-that does not contract the Newton correction (`solver`): on criterion
-8's descending sweep into the end of the b = 0.6, m = 4 branch, the
-direct solve at 0.1750 stops after 4 steps rather than breaking down at
-step 7, and its bridge at 0.17525 after 1.  `newton_solve` hands the
-carried inverse on only with a usable state, so the attempt after a
-failed one forms a fresh Jacobian.  A failed grid point is retried through a
-midpoint bridge solve, and, while the branch is still within
-ANNULUS_REACH of the annulus, from the cold seeds.
-The bridge seeds from the secant too, and the grid point after it from
-the secant through the previous state and the bridge state.  An
-unrecoverable grid point is recorded in ``terminated_at`` and the sweep
-stops.
+contour counts as such a failure.  Every solve runs on the caller's
+config, so config.max_iter is the one step budget.  A failing warm
+solve usually gives up long before it runs out, at the first step with
+a fresh Jacobian that does not contract the Newton correction
+(`solver`): on criterion 8's descending sweep into the end of the
+b = 0.6, m = 4 branch, the solve at 0.1750 stops after 4 steps rather
+than breaking down at step 7.  `newton_solve` hands the carried
+inverse on only with a usable state, so the attempt after a failed one
+forms a fresh Jacobian.  A grid point whose warm solve fails is retried
+from the cold seeds while the branch is still within ANNULUS_REACH of
+the annulus; otherwise it is recorded in ``terminated_at`` and the
+sweep stops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -77,20 +75,6 @@ COLD_SEED_AMPLITUDE = 0.02
 # only within it.
 ANNULUS_REACH = 0.06
 
-# Newton steps allowed from a warm seed, chord steps included.  While
-# the branch goes on, a warm solve reaches tol in 2-10 steps, and in
-# more than 7 for 7 of the 453 warm states of the four acceptance sweeps
-# (m = 4 at b = 0.6 and 0.63, CHORD_CONTRACTION = 10; full Newton from
-# the previous state took 2-9).  A solve that needs far more has
-# wandered off the branch, and where it lands (after 34-50 full Newton
-# steps near a branch end) can be a state of another family that the
-# sweep would then follow.  Most failing warm solves stop earlier, at a
-# fresh step that does not contract the correction (`solver`); of the 16
-# on the acceptance sweeps, the branch probe and the benchmark's
-# branch-end sweep, every one stops at or before the step where it broke
-# down or ran out of these steps.
-WARM_MAX_ITER = 12
-
 
 def _near_annulus(coeffs: VortexContourCoeffs) -> bool:
     """Whether a state is within ANNULUS_REACH of the annulus."""
@@ -116,8 +100,8 @@ class Branch:
 
     origin names the eigenvalue end the sweep started from (inferred
     from the march direction); terminated_at is the first grid omega
-    that failed both directly and through a bridge solve, or None when
-    the sweep reached omega_end.
+    where no attempt gave a usable state, or None when the sweep reached
+    omega_end.
     """
 
     b: float
@@ -269,8 +253,8 @@ def sweep(
         must point from start to end.  Start one step away from an
         eigenvalue, not on it.
     config : SolverConfig
-        Passed through to every solve; solves from a warm seed stop
-        after at most WARM_MAX_ITER steps.
+        Passed through to every solve, warm or cold; its max_iter is
+        the step budget of each.
     seed_ladder : sequence of VortexContourCoeffs, optional
         Cold-start seeds for the first point and the rescue near the
         annulus, tried in order with full Newton; defaults to one
@@ -291,20 +275,12 @@ def sweep(
 
     records: list[BranchRecord] = []
     terminated_at = None
-    warm = replace(config, max_iter=min(config.max_iter, WARM_MAX_ITER))
     chord = ChordFactors()
     for omega in grid:
         report = None
         if records:
             known = [(record.omega, record.report.coeffs) for record in records[-2:]]
-            report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
-            if report is None:
-                # Bridge through the midpoint once before terminating.
-                midpoint = 0.5 * (records[-1].omega + omega)
-                bridge = _attempt(b, m, midpoint, _secant(known, midpoint), warm, chord)
-                if bridge is not None:
-                    known = [known[-1], (midpoint, bridge.coeffs)]
-                    report = _attempt(b, m, omega, _secant(known, omega), warm, chord)
+            report = _attempt(b, m, omega, _secant(known, omega), config, chord)
         if report is None and (not records or _near_annulus(records[-1].report.coeffs)):
             # The first grid point starts cold, and so does a grid point
             # whose warm seed collapsed onto the annulus: a cold start

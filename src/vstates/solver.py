@@ -126,8 +126,8 @@ CURVATURE_TOL = 1e-12
 # step with it cuts the largest pointwise residual by at least this
 # factor, and forms a fresh Jacobian after one that does not.  On the
 # four acceptance sweeps 10 forms 9-34 % of the Jacobians of full Newton
-# and reaches tol within 10 warm steps per state; 5 to 8 form up to a
-# quarter fewer but need 11 or 12 of the 12 (continuation.WARM_MAX_ITER).
+# and reaches tol within 11 warm steps per state (9 on criterion 8); 8
+# and 5 form up to 15 and 37 % fewer but take up to 12 and 13 steps.
 CHORD_CONTRACTION = 10.0
 
 
@@ -152,7 +152,7 @@ class SingularJacobian(RuntimeError):
         self.pivot = pivot
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     """Discretization and iteration parameters of one solve.
 

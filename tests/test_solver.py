@@ -1,7 +1,7 @@
 """Newton iteration: convergence, failure surfaces, normalization."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +60,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="tol must be a real number"):
             SolverConfig(modes=1, nodes=3, tol=tol)
     assert SolverConfig(modes=np.int64(31), nodes=np.int64(256)).nodes == 256
+    with pytest.raises(FrozenInstanceError):
+        REFERENCE_CONFIG.max_iter = 12
 
 
 def test_default_modes_rule():
