@@ -10,13 +10,18 @@ like the square root of omega - omega0; while the sweep moves away from
 omega0 near the annulus, the predictor extrapolates linearly in that
 square root instead, and joins a lone first state to the annulus.
 
-The first grid point has no predecessor, so it is attempted from one
-single-mode annulus perturbation; which mode it displaces follows the
-sweep direction, matching the null-direction structure at the two
-eigenvalues (outer-dominant near omega_plus, inner-dominant near
-omega_minus).  `newton_solve` treats such a first-mode seed as a cold
-start and replaces it by the bifurcation predictor wherever a branch
-reaches the grid point; there only the sign of the seed matters.
+The first grid point has no predecessor, so it is attempted from the
+seed ladder, by default one single-mode annulus perturbation; which
+mode it displaces follows the sweep direction, matching the
+null-direction structure at the two eigenvalues (outer-dominant near
+omega_plus, inner-dominant near omega_minus).  `newton_solve` treats
+such a first-mode seed as a cold start and replaces it by the
+bifurcation predictor wherever a branch reaches the grid point; there
+only the sign of the seed matters.  Every attempt, warm or from the
+ladder, is handed the sweep's ChordFactors, and the seed picks the
+Newton flavour: a cold start runs full Newton and hands no inverse on,
+while a ladder seed that is a state is a warm start and runs chord
+Newton.
 
 Branch ends show up as solves that stop converging, collapse to the
 annulus, or break the geometry; a predicted seed that is not a valid
@@ -27,11 +32,11 @@ a fresh Jacobian that does not contract the Newton correction
 (`solver`): on criterion 8's descending sweep into the end of the
 b = 0.6, m = 4 branch, the solve at 0.1750 stops after 4 steps rather
 than breaking down at step 7.  `newton_solve` hands the carried
-inverse on only with a usable state, so the attempt after a failed one
-forms a fresh Jacobian.  A grid point whose warm solve fails is retried
-from the cold seeds while the branch is still within ANNULUS_REACH of
-the annulus; otherwise it is recorded in ``terminated_at`` and the
-sweep stops.
+inverse on only from a usable warm state, so the attempt after a failed
+one forms a fresh Jacobian.  A grid point whose warm solve fails is
+retried from the seed ladder while the branch is still within
+ANNULUS_REACH of the annulus; otherwise it is recorded in
+``terminated_at`` and the sweep stops.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ def _near_annulus(coeffs: VortexContourCoeffs) -> bool:
 
 
 class EmptyBranch(RuntimeError):
-    """No cold seed produced a nontrivial state at the first grid point."""
+    """No seed of the ladder gave a nontrivial state at the first grid point."""
 
 
 @dataclass(frozen=True)
@@ -218,7 +223,7 @@ def _attempt(
     omega: float,
     seed: VortexContourCoeffs,
     config: SolverConfig,
-    chord: ChordFactors | None = None,
+    chord: ChordFactors,
 ) -> SolveReport | None:
     """One guarded solve; None for any outcome that is not a usable state."""
     try:
@@ -256,9 +261,14 @@ def sweep(
         Passed through to every solve, warm or cold; its max_iter is
         the step budget of each.
     seed_ladder : sequence of VortexContourCoeffs, optional
-        Cold-start seeds for the first point and the rescue near the
-        annulus, tried in order with full Newton; defaults to one
+        Seeds for the first point and the rescue near the annulus, tried
+        in order until one gives a usable state; defaults to one
         first-mode seed of COLD_SEED_AMPLITUDE for the sweep direction.
+        A first-mode seed that the bifurcation predictor replaces is a
+        cold start and runs full Newton; any other seed, such as a
+        state, runs chord Newton with the theta stop (`solver`), and one
+        that stops on theta fails like any other seed: the next one is
+        tried, and after the last the first point raises EmptyBranch.
 
     Raises
     ------
@@ -266,7 +276,7 @@ def sweep(
         When the omega grid is not finite, does not march toward
         omega_end or has a step too small to move omega.
     EmptyBranch
-        When every cold seed fails at omega_start.
+        When every seed of the ladder fails at omega_start.
     """
     grid = _omega_grid(omega_start, omega_end, omega_step)
     origin = _origin(omega_step)
@@ -282,15 +292,15 @@ def sweep(
             known = [(record.omega, record.report.coeffs) for record in records[-2:]]
             report = _attempt(b, m, omega, _secant(known, omega), config, chord)
         if report is None and (not records or _near_annulus(records[-1].report.coeffs)):
-            # The first grid point starts cold, and so does a grid point
-            # whose warm seed collapsed onto the annulus: a cold start
-            # still works near the bifurcation points.  On a developed
-            # branch a failed solve means the branch is ending, and
-            # re-seeding from the annulus would risk hopping onto a
-            # different family, so the rescue is limited to small
-            # amplitudes.
+            # The first grid point starts from the seed ladder, and so
+            # does a grid point whose warm seed collapsed onto the
+            # annulus: a cold start still works near the bifurcation
+            # points.  On a developed branch a failed solve means the
+            # branch is ending, and re-seeding from the annulus would
+            # risk hopping onto a different family, so the rescue is
+            # limited to small amplitudes.
             for seed in seed_ladder:
-                report = _attempt(b, m, omega, seed, config)
+                report = _attempt(b, m, omega, seed, config, chord)
                 if report is not None:
                     break
         if report is None:
@@ -299,7 +309,7 @@ def sweep(
         records.append(_record(omega, report, config))
     if not records:
         raise EmptyBranch(
-            f"no cold seed converged to a nontrivial state at "
+            f"no seed of the ladder converged to a nontrivial state at "
             f"omega = {grid[0]} (b = {b}, m = {m})"
         )
     return Branch(b=b, m=m, records=records, origin=origin, terminated_at=terminated_at)

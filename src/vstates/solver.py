@@ -21,32 +21,35 @@ residual reaches rounding whatever M is, since the projection there
 keeps all M degrees of freedom of the pointwise residual; N's also holds
 the tail beyond M, so a truncation too short for tol fails on N.
 
-Chord Newton: a solve given a `ChordFactors` (the warm solves of a
-branch sweep) reuses the inverse of an earlier Jacobian, the one it
-is handed or the one it forms itself, and forms a fresh Jacobian only
-after a reused-inverse step that fails to cut the largest pointwise
-residual by CHORD_CONTRACTION.  Chord steps converge linearly and so
-stop just under tol, where a Newton step lands far below it.  Near a
-bifurcation point that gap matters: at b = 0.63, omega = 0.1674 the
-smallest singular value of J is 6e-5, and a chord state was 3.7e-10
-from the solution where Newton's was 3.6e-11.  A converged chord solve
-therefore takes one more step with its inverse and keeps it when it
-lowers the residual, on the first grid even without a step, on N only
-after a step there.  A solve takes chord.inverse, leaving None, and
-writes its own back only with a converged nontrivial state.  A solve
-given no ChordFactors forms a fresh Jacobian at every step.
+Chord Newton: a warm solve, one given a `ChordFactors` whose seed the
+cold start (below) leaves as it is, reuses the inverse of an earlier
+Jacobian, the one it is handed or the one it forms itself, and forms a
+fresh Jacobian only after a reused-inverse step that fails to cut the
+largest pointwise residual by CHORD_CONTRACTION.  The seed, not the
+caller, picks the flavour: a cold start runs full Newton whatever it is
+handed, and a solve given no ChordFactors forms a fresh Jacobian at
+every step.  Chord steps converge linearly and so stop just under tol,
+where a Newton step lands far below it.  Near a bifurcation point that
+gap matters: at b = 0.63, omega = 0.1674 the smallest singular value of
+J is 6e-5, and a chord state was 3.7e-10 from the solution where
+Newton's was 3.6e-11.  A converged chord solve therefore takes one more
+step with its inverse and keeps it when it lowers the residual, on the
+first grid even without a step, on N only after a step there.  A solve
+takes chord.inverse, leaving None, and writes back a reusable inverse
+only from a warm solve that converged to a nontrivial state; a cold
+start leaves None.
 
-A warm solve, one given a ChordFactors whose seed the cold start leaves
-as it is, also stops once a step with a freshly formed inverse fails
+A warm solve also stops once a step with a freshly formed inverse fails
 Deuflhard's natural monotonicity test: theta = ||J^-1 F(x+)|| /
 ||J^-1 F(x)|| >= 1 (2-norms, the same inverse).  J^-1 F(x+) is the
 correction of the next chord step, so the test costs one vector norm.
 It is a test on the correction, not on the residual: at the end of the
-b = 0.6, m = 4 branch the first fresh step of the 0.1755 solve doubles
-the largest residual but has theta = 0.07, and converges.  On the four
-acceptance sweeps, the 30-sweep branch probe and the branch-end sweep
-of the benchmark, the largest theta of a converged warm solve is 0.55
-and every failing warm solve has a fresh step with theta of 1.25 to 700.
+b = 0.6, m = 4 branch the 0.1755 solve of the benchmark's sweep, started
+from a fresh Jacobian, doubles the largest residual on its first step
+but has theta = 0.07, and converges.  On the four acceptance sweeps,
+the 30-sweep branch probe and the branch-end sweep of the benchmark,
+the largest theta of a converged warm solve is 0.55 and every failing
+warm solve has a fresh step with theta of 1.25 to 700.
 Cold starts and full Newton are not tested: a cold solve may pass
 through theta = 17 and converge.
 
@@ -363,10 +366,12 @@ def newton_solve(
     config : SolverConfig
         Discretization and iteration parameters.
     chord : ChordFactors, optional
-        Chord Newton (module docstring): start from chord.inverse when
-        it holds one, and leave there the reusable inverse of a converged
-        nontrivial state, None after any other outcome or a raise other
-        than ValueError.  Without it every step forms a fresh Jacobian.
+        Chord Newton for a warm solve (module docstring): start from
+        chord.inverse when it holds one, and leave there the reusable
+        inverse of a converged nontrivial state, None after any other
+        outcome or a raise other than ValueError.  A cold start takes
+        and drops chord.inverse, runs full Newton and leaves None.
+        Without it every step forms a fresh Jacobian.
 
     Returns
     -------
@@ -407,11 +412,12 @@ def newton_solve(
     grids = [config.nodes]
     if config.nodes >= 2 * alias_free:
         grids.insert(0, alias_free)
-    inverse = None
+    carried = None
     if chord is not None:
-        inverse, chord.inverse = chord.inverse, None
+        carried, chord.inverse = chord.inverse, None
     current = _cold_start(seed, omega, replace(config, nodes=grids[0]))
     warm = chord is not None and current is seed
+    inverse = carried if warm else None
     history: list[float] = []
     iterations = 0
     budget = config.max_iter
@@ -449,7 +455,7 @@ def newton_solve(
                 residual = assemble(current, omega, nodes)
             except InvalidContour as exc:
                 raise GeometryBreakdown(iterations, str(exc)) from exc
-            if chord is None or (
+            if not warm or (
                 not fresh and residual.max_abs * CHORD_CONTRACTION > history[-1]
             ):
                 inverse = None

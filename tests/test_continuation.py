@@ -23,6 +23,7 @@ from vstates import (
 )
 import vstates.continuation as continuation
 import vstates.solver as solver
+from vstates.solver import ChordFactors
 
 CONFIG = SolverConfig(modes=31, nodes=256)
 OMEGA_MINUS = eigenvalues_for_fold(4, 0.63).omega_minus
@@ -175,18 +176,18 @@ def test_sweep_reuses_jacobians(monkeypatch):
 
 def test_attempt_after_a_failure_starts_fresh(monkeypatch):
     """A failed attempt drops the carried factors: the cold-seed rescue
-    that follows forms its own Jacobian first."""
+    that follows is handed the sweep's ChordFactors, empty."""
     calls = []
     solve = continuation.newton_solve
 
     def recorded(b, omega, m, seed, config, chord=None):
-        carried = chord is not None and chord.inverse is not None
+        entry = None if chord is None else chord.inverse
         try:
             report = solve(b, omega, m, seed, config, chord)
         except Exception:
-            calls.append((omega, carried, False))
+            calls.append((omega, chord, entry, False))
             raise
-        calls.append((omega, carried, report.converged and not report.trivial))
+        calls.append((omega, chord, entry, report.converged and not report.trivial))
         return report
 
     monkeypatch.setattr(continuation, "newton_solve", recorded)
@@ -194,11 +195,11 @@ def test_attempt_after_a_failure_starts_fresh(monkeypatch):
     # the warm solve at 0.1352 falls back to the annulus
     branch = sweep(0.63, 4, 0.1342, 0.1352, 1e-3, CONFIG)
     assert len(branch.records) == 2
-    failures = [i for i, (_, _, usable) in enumerate(calls) if not usable]
-    assert len(failures) >= 1
-    for i in failures:
-        if i + 1 < len(calls):
-            assert not calls[i + 1][1]
+    failures = [i for i, (*_, usable) in enumerate(calls) if not usable]
+    after = [calls[i + 1] for i in failures if i + 1 < len(calls)]
+    assert len(after) >= 1
+    for _, chord, entry, _ in after:
+        assert chord is not None and entry is None
 
 
 def test_invalid_predicted_seed_is_a_failed_attempt(monkeypatch):
@@ -227,15 +228,16 @@ def test_invalid_predicted_seed_is_a_failed_attempt(monkeypatch):
 
 
 def test_seed_ladder_is_tried_in_order(monkeypatch):
-    """The cold seeds are tried in order, each with full Newton, until one
-    gives a usable state: an annulus seed ahead of a good one costs one
-    more solve and changes no bit of the first record, and a seed after
-    the good one is never tried."""
+    """The ladder's seeds are tried in order, each handed the sweep's
+    ChordFactors, until one gives a usable state: an annulus seed ahead
+    of a good one costs one more solve, leaves the ChordFactors empty and
+    changes no bit of the first record, and a seed after the good one is
+    never tried."""
     calls = []
     solve = continuation.newton_solve
 
     def counted(*args):
-        calls.append(args)
+        calls.append(args + (args[5].inverse,))
         return solve(*args)
 
     monkeypatch.setattr(continuation, "newton_solve", counted)
@@ -250,7 +252,8 @@ def test_seed_ladder_is_tried_in_order(monkeypatch):
         calls.clear()
         branches[name] = sweep(0.63, 4, 0.1350, 0.1350, 5e-4, CONFIG, seed_ladder=ladder)
         assert len(calls) == solves and all(call[3] is seed for call, seed in zip(calls, ladder))
-        assert all(call[5] is None for call in calls)
+        assert all(isinstance(call[5], ChordFactors) and call[5] is calls[0][5] for call in calls)
+        assert all(call[6] is None for call in calls)
     expected = branches["good"].records[0]
     for name in ("annulus first", "good first"):
         record = branches[name].records[0]
@@ -349,11 +352,12 @@ def test_sweep_next_to_a_bifurcation_stays_on_the_branch(monkeypatch):
 
     def recorded(b, omega, m, seed, config, chord=None):
         report = solve(b, omega, m, seed, config, chord)
-        calls.append((chord is None, report))
+        calls.append((np.array_equal(seed.as_vector(), cold.as_vector()), report))
         return report
 
     monkeypatch.setattr(continuation, "newton_solve", recorded)
     for start, end, step in ((0.1342, 0.1352, 1e-3), (0.1674, 0.1664, -1e-3)):
+        cold = continuation._cold_seed(0.63, 4, CONFIG.modes, descending=step < 0.0)
         calls.clear()
         branch = sweep(0.63, 4, start, end, step, CONFIG)
         assert len(branch.records) == 2 and branch.terminated_at is None
@@ -390,15 +394,18 @@ BRANCH_END_SEED = Path(__file__).resolve().parents[1] / "perfbench" / "branch_en
 def test_sweep_into_the_branch_end_keeps_its_states(monkeypatch):
     """The benchmark's branch-end sweep (b = 0.6, m = 4, N = 512, M = 63,
     from its state at 0.1765) keeps the states at 0.1760 and 0.1755 and
-    stops at 0.1750.  Its first warm solve starts from a fresh Jacobian
-    whose step raises the residual before the solve converges, so a rule
-    that gives up on such a rise loses the 0.1755 state.  The step does
-    contract the Newton correction (theta = ||J^-1 F(x+)|| / ||J^-1 F(x)||
-    is 0.07), so the stop on theta >= 1 keeps it: 0.1755 still converges
-    in 9 steps.  The warm solve at 0.1750 stops after 4 steps, not at a
-    breakdown at step 9, and the sweep ends there.  Full Newton from the
-    same seed at 0.1750 is not stopped: given 12 steps it spends them
-    all."""
+    stops at 0.1750.  Every solve is handed the sweep's ChordFactors, and
+    the ladder's state is a warm start: the solve at 0.1760 converges in
+    8 chord steps on 2 Jacobians (theta 0.035 and 0.005) and hands its
+    inverse on.  The 0.1755 solve's first step, with that inverse, more
+    than doubles the residual before the solve converges, so a rule that
+    gives up on such a rise loses the 0.1755 state.  The fresh step that
+    follows contracts the Newton correction (theta = ||J^-1 F(x+)|| /
+    ||J^-1 F(x)|| is 0.13), so the stop on theta >= 1 keeps it: 0.1755
+    converges in 10 steps.  The warm solve at 0.1750 stops after 4 steps,
+    not at a breakdown at step 9, and the sweep ends there.  Full Newton
+    from the same seed at 0.1750 is not stopped: given 12 steps it spends
+    them all."""
     calls = []
     solve = continuation.newton_solve
 
@@ -415,9 +422,10 @@ def test_sweep_into_the_branch_end_keeps_its_states(monkeypatch):
         [0.1760, 0.1755], abs=1e-12
     )
     assert branch.terminated_at == pytest.approx(0.1750, abs=1e-12)
-    warm = [(omega, report.converged, report.iterations) for omega, _, chord, report in calls if chord]
-    assert warm == [
-        (pytest.approx(0.1755), True, 9),
+    assert all(chord for _, _, chord, _ in calls)
+    assert [(omega, report.converged, report.iterations) for omega, _, _, report in calls] == [
+        (pytest.approx(0.1760), True, 8),
+        (pytest.approx(0.1755), True, 10),
         (pytest.approx(0.1750), False, 4),
     ]
     full = newton_solve(0.6, 0.1750, 4, calls[2][1], replace(config, max_iter=12))

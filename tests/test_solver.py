@@ -12,7 +12,6 @@ from vstates import (
     SingularJacobian,
     SolverConfig,
     assemble,
-    critical_radius,
     default_modes,
     eigenvalues_for_fold,
     fd_jacobian,
@@ -480,17 +479,24 @@ def test_chord_inverse_survives_only_a_usable_solve(monkeypatch, reference_state
     assert np.isfinite(chord.inverse).all()
 
 
-def test_cold_start_handed_a_chord_is_not_stopped():
-    """Only a warm solve stops when a fresh inverse's step fails to
-    contract the Newton correction.  From the cold start at m = 8,
-    b = 0.3 b_8, 12e-3 above omega_minus, the second fresh step of a
-    chord solve has theta = 4.1, and the solve still converges."""
-    b = 0.3 * critical_radius(8)
-    omega = eigenvalues_for_fold(8, b).omega_minus + 12e-3
-    seed = perturbed_annulus(b, 8, 31, a2_1=-0.02)
-    report = newton_solve(b, omega, 8, seed, SolverConfig(modes=31, nodes=512), ChordFactors())
-    assert report.converged and not report.trivial
-    assert report.iterations == 14
+def test_cold_start_handed_a_chord_runs_full_newton(reference_state):
+    """A cold start runs full Newton whatever ChordFactors it is handed:
+    from the first-mode seed at the reference point, an empty one and one
+    holding the inverse of the converged state's Jacobian give reports
+    bit-identical to a solve without one, and both are left empty."""
+    seed = perturbed_annulus(REFERENCE_B, REFERENCE_M, 31, a1_1=0.02)
+    plain = newton_solve(REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, seed, REFERENCE_CONFIG)
+    assert plain.converged and not plain.trivial
+    assert plain.iterations == 6
+    inverse = np.linalg.inv(jacobian(reference_state.coeffs, REFERENCE_OMEGA, 256))
+    for chord in (ChordFactors(), ChordFactors(inverse)):
+        report = newton_solve(
+            REFERENCE_B, REFERENCE_OMEGA, REFERENCE_M, seed, REFERENCE_CONFIG, chord
+        )
+        assert chord.inverse is None
+        assert np.array_equal(report.coeffs.as_vector(), plain.coeffs.as_vector())
+        assert report.residual_history == plain.residual_history
+        assert report.iterations == plain.iterations
 
 
 def test_singular_jacobian_guard():
